@@ -19,6 +19,7 @@ from .errors import (
     FdsrankError,
     GraphFormatError,
     InconsistentBounds,
+    IntegrityError,
     LoopsPresent,
     NotStronglyConnected,
     ShapeMismatch,

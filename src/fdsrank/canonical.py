@@ -425,11 +425,16 @@ def absolute_minrank_bounds(d: Digraph) -> MinrankBounds:
 
 
 def _sub_canonical(c: CanonicalGraph, keep: set[int]) -> CanonicalGraph:
-    sources = tuple(a for a in c.sources if a in keep)
-    sinks = tuple(b for b in c.sinks if b in keep)
-    arcs = frozenset((a, b) for a, b in c.arcs if a in keep and b in keep)
-    prov = {v: c.provenance[v] for v in sources + sinks}
-    return CanonicalGraph(sources, sinks, arcs, prov)
+    """The part of ``c`` on ``keep``, renumbered to sources 1..|A'| then sinks."""
+    kept = [a for a in c.sources if a in keep] + [b for b in c.sinks if b in keep]
+    new_id = {old: i for i, old in enumerate(kept, start=1)}
+    n_sources = sum(a in keep for a in c.sources)
+    return CanonicalGraph(
+        sources=tuple(range(1, n_sources + 1)),
+        sinks=tuple(range(n_sources + 1, len(kept) + 1)),
+        arcs=frozenset((new_id[a], new_id[b]) for a, b in c.arcs if a in keep and b in keep),
+        provenance={new_id[v]: c.provenance[v] for v in kept},
+    )
 
 
 # --- small-graph isomorphism ----------------------------------------------------

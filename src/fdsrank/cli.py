@@ -38,7 +38,7 @@ from .constructions import (
 )
 from .digraph import read_digraph, structure_stats
 from .enumeration import enumerate_stats, family_size, resolve_max_funcs
-from .errors import FdsrankError, GraphFormatError, SizeLimitExceeded
+from .errors import FdsrankError, GraphFormatError, IntegrityError, SizeLimitExceeded
 from .fds import DEFAULT_MAX_STATES, format_fds
 from .invariants import max_cycle_cover, max_independent_arcs
 from .verify import run_battery
@@ -351,6 +351,9 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"error: refused by guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except IntegrityError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED_CHECKS
     except FdsrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

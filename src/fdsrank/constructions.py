@@ -10,7 +10,7 @@ import numpy as np
 
 from .canonical import CanonicalGraph, canonicalize, conjunctive_rank_of_canonical
 from .digraph import Digraph
-from .errors import AlphabetTooSmall, BadPacking, EvenN, LoopsPresent
+from .errors import AlphabetTooSmall, BadPacking, EvenN, IntegrityError, LoopsPresent
 from .fds import DEFAULT_MAX_STATES, Fds, make_fds, rank as fds_rank
 from .invariants import cycle_cover_certificate, independent_arc_certificate, in_dominating_profile
 
@@ -52,7 +52,8 @@ def conjunctive_rank(d: Digraph, max_states: int = DEFAULT_MAX_STATES) -> int:
     value = conjunctive_rank_of_canonical(c)
     if 2 ** d.n <= max_states:
         direct = fds_rank(conjunctive(d), max_states)
-        assert direct == value, f"canonical rank {value} != direct rank {direct}"
+        if direct != value:
+            raise IntegrityError(f"canonical rank {value} != direct rank {direct}")
     return value
 
 

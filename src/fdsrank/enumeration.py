@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .digraph import Digraph, fingerprint
-from .errors import SizeLimitExceeded
+from .errors import IntegrityError, SizeLimitExceeded
 from .fds import DEFAULT_MAX_STATES
 
 DEFAULT_MAX_FUNCS = 10 ** 8
@@ -184,7 +184,6 @@ def enumerate_stats(
     strict: bool = False,
     max_funcs: int | None = None,
     max_states: int = DEFAULT_MAX_STATES,
-    backend: str | None = None,
 ) -> StatsReport:
     """Exact min/average/max and histograms of rank, periodic rank, fixed points."""
     total = family_size(d, q, strict)
@@ -206,17 +205,19 @@ def enumerate_stats(
             projected=cells,
         )
     rows = _vertex_value_rows(d, q, strict)
-    # outermost vertex carries the parallel grain: put the largest table list first
-    order = sorted(range(d.n), key=lambda v: -rows[v].shape[0])
-    rows = [rows[v] for v in order]
     counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
-    w = np.zeros((d.n, int(counts.max()), n_states), dtype=np.int64)
+    # map values stay below n_states; int64 rows would take up to 8x the memory
+    w = np.zeros((d.n, int(counts.max()), n_states), dtype=np.min_scalar_type(n_states - 1))
     for v, r in enumerate(rows):
         w[v, : r.shape[0]] = r
-    hist_rank, hist_per, hist_fix = kernels.family_histograms(w, counts, n_states, backend)
-    assert int(hist_rank.sum()) == total
-    assert int(hist_per.sum()) == total
-    assert int(hist_fix.sum()) == total
+    hists = kernels.family_histograms(w, counts, n_states)
+    # the only guard against a kernel that drops or double-counts systems
+    for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
+        if int(hist.sum()) != total:
+            raise IntegrityError(
+                f"{name} histogram counts {int(hist.sum())} systems, family has {total}"
+            )
+    hist_rank, hist_per, hist_fix = hists
     return StatsReport(
         graph=fingerprint(d),
         q=q,
@@ -327,20 +328,19 @@ class UnivariateBaseline:
     rank_histogram: dict[int, int]
 
 
-def univariate_baseline(
-    q: int, max_funcs: int | None = None, backend: str | None = None
-) -> UnivariateBaseline:
-    """Average rank over all q^q self-maps, closed form next to brute force."""
+def univariate_baseline(q: int, max_funcs: int | None = None) -> UnivariateBaseline:
+    """Average rank over all q^q self-maps, closed form next to brute force.
+
+    The q^q self-maps are the loose family of one looped vertex.
+    """
     total = q ** q
     limit = resolve_max_funcs(max_funcs)
     if total > limit:
         raise SizeLimitExceeded(
             f"{total} univariate maps, over the guard {limit}", projected=total
         )
-    hist_rank, _hist_per, hist_fix = kernels.univariate_histograms(q, backend)
-    enumerated = Fraction(
-        sum(v * int(c) for v, c in enumerate(hist_rank)), total
-    )
+    report = enumerate_stats(Digraph(1, [(1, 1)]), q, max_funcs=limit)
+    enumerated = report.rank.average
     closed = (1 - Fraction(q - 1, q) ** q) * q
     if closed != enumerated:
         raise AssertionError(
@@ -350,6 +350,6 @@ def univariate_baseline(
         q=q,
         closed_form_average_rank=closed,
         enumerated_average_rank=enumerated,
-        fixed_point_free_count=int(hist_fix[0]),
-        rank_histogram={v: int(c) for v, c in enumerate(hist_rank) if c},
+        fixed_point_free_count=report.fixed_points.histogram.get(0, 0),
+        rank_histogram=dict(report.rank.histogram),
     )

@@ -58,3 +58,12 @@ class BadPacking(FdsrankError):
 
 class InconsistentBounds(FdsrankError):
     """A computed lower bound exceeded a computed upper bound."""
+
+
+class IntegrityError(FdsrankError):
+    """A result contradicts an identity it must satisfy: a bug, not bad input.
+
+    Raised by the internal cross-checks (histogram totals against the family
+    size, solver status on programs that are always feasible and bounded,
+    two computations of one value), which stay on under ``python -O``.
+    """

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ratlp
 from .digraph import Digraph, is_primitive, is_strongly_connected
-from .errors import LoopsPresent, NotStronglyConnected, SizeLimitExceeded
+from .errors import IntegrityError, LoopsPresent, NotStronglyConnected, SizeLimitExceeded
 
 DEFAULT_EXACT_CAP = 24
 MAX_ENUMERATED_CYCLES = 100_000
@@ -160,7 +160,8 @@ def fractional_cycle_packing(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP):
     c = [1] * len(masks)
     solver = ratlp.solve_exact if len(masks) <= EXACT_LP_COLUMN_CAP else ratlp.solve_float
     res = solver(c, rows, senses, rhs, maximize=True)
-    assert res.status == ratlp.OPTIMAL
+    if res.status != ratlp.OPTIMAL:
+        raise IntegrityError(f"fractional packing program came back {res.status}")
     return res.value
 
 
@@ -260,7 +261,8 @@ def fractional_clique_cover(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP):
     c = [1] * len(cliques)
     solver = ratlp.solve_exact if len(cliques) <= EXACT_LP_COLUMN_CAP else ratlp.solve_float
     res = solver(c, rows, senses, rhs, maximize=False)
-    assert res.status == ratlp.OPTIMAL
+    if res.status != ratlp.OPTIMAL:
+        raise IntegrityError(f"fractional clique cover program came back {res.status}")
     return res.value
 
 

@@ -13,7 +13,6 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import kernels
 from .bounds import entropy_report, fix_bounds_report
 from .canonical import (
     absolute_minrank_bounds,
@@ -316,7 +315,6 @@ class VerifySuite:
     # --- driver ------------------------------------------------------------
 
     def run(self) -> list[CheckResult]:
-        kernels.warmup()
         checks = [
             self.check_figure_values,
             self.check_star_theorem,

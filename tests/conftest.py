@@ -1,14 +1,6 @@
 import itertools
 
-import pytest
-
-from fdsrank import kernels
 from fdsrank.digraph import Digraph
-
-
-@pytest.fixture(scope="session", autouse=True)
-def jit_warmup():
-    kernels.warmup()
 
 
 def small_digraphs(n: int):

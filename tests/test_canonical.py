@@ -17,7 +17,7 @@ from fdsrank.canonical import (
     tightness_classify,
 )
 from fdsrank.digraph import Digraph, parse_digraph
-from fdsrank.enumeration import enumerate_stats
+from fdsrank.enumeration import enumerate_stats, minrank_exact
 
 
 def sink_inputs_by_original(c):
@@ -218,6 +218,19 @@ class TestAbsoluteBounds:
     def test_empty(self):
         b = absolute_minrank_bounds(fx.E3)
         assert (b.lower, b.upper, b.stabilization_q, b.exact) == (1, 1, 2, True)
+
+    def test_cycle_splits_into_components(self):
+        # the canonical double of the 3-cycle is three disjoint source-sink arcs
+        b = absolute_minrank_bounds(fx.C3)
+        assert (b.lower, b.upper, b.exact) == (8, 8, True)
+        assert minrank_exact(fx.C3, 2) == minrank_exact(fx.C3, 3) == 8
+
+    def test_disjoint_union_multiplies(self):
+        a, c = fx.P1, fx.C3
+        union = Digraph(a.n + c.n, list(a.arcs) + [(u + a.n, v + a.n) for u, v in c.arcs])
+        ba, bc, bu = (absolute_minrank_bounds(d) for d in (a, c, union))
+        assert (bu.lower, bu.upper) == (ba.lower * bc.lower, ba.upper * bc.upper)
+        assert bu.lower <= minrank_exact(union, 2) <= bu.upper
 
 
 class TestIsomorphism:

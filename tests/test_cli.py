@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fdsrank import fixtures as fx
+from fdsrank import kernels
 from fdsrank.cli import main
 from fdsrank.digraph import format_digraph
 from fdsrank.fds import parse_fds
@@ -95,6 +96,17 @@ class TestExitCodes:
 
     def test_bad_q_is_two(self, capsys, star3_file):
         assert main(["enum", star3_file, "--q", "1"]) == 2
+
+    def test_failed_integrity_check_is_one(self, capsys, monkeypatch, star3_file):
+        real = kernels.family_histograms
+
+        def drop_one(w, counts, n_states):
+            rank, periodic, fixed = real(w, counts, n_states)
+            return rank - (rank == rank.max()), periodic, fixed
+
+        monkeypatch.setattr(kernels, "family_histograms", drop_one)
+        assert main(["enum", star3_file, "--q", "2"]) == 1
+        assert "internal check failed" in capsys.readouterr().err
 
 
 class TestEnum:

@@ -1,9 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fdsrank
 import oracles
 from conftest import small_digraphs
 from fdsrank import fixtures as fx
@@ -148,6 +154,40 @@ class TestUnivariate:
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
             univariate_baseline(4, max_funcs=10)
+
+
+DROP_ONE_SYSTEM = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from fdsrank import enumeration, fixtures, kernels
+    from fdsrank.errors import IntegrityError
+
+    if not sys.flags.optimize:
+        sys.exit("asserts are on")
+    real = kernels.family_histograms
+    for which in range(3):
+        def drop_one(w, counts, n_states):
+            hists = [h.copy() for h in real(w, counts, n_states)]
+            hists[which][np.nonzero(hists[which])[0][0]] -= 1
+            return tuple(hists)
+        kernels.family_histograms = drop_one
+        try:
+            enumeration.enumerate_stats(fixtures.C3, 2)
+        except IntegrityError as exc:
+            print(exc)
+""")
+
+
+def test_kernel_dropping_a_system_raises_typed_error_under_optimize():
+    src = str(Path(fdsrank.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-O", "-c", DROP_ONE_SYSTEM], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == [
+        f"{name} histogram counts 63 systems, family has 64"
+        for name in ("rank", "periodic rank", "fixed point")
+    ]
 
 
 class TestSweepProperties:

@@ -1,73 +1,108 @@
+"""The sweep kernel against a reference that evaluates each system on its own."""
+
+import itertools
+
 import numpy as np
 import pytest
 
 from fdsrank import kernels
 from fdsrank.digraph import Digraph
-from fdsrank.enumeration import enumerate_stats
-
-pytestmark = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="comparison needs both backends"
-)
+from fdsrank.enumeration import _vertex_value_rows
 
 
-def random_family(rng, n, q):
-    """Weighted table rows for a random declared-input profile."""
-    n_states = q ** n
-    rows = []
-    for v in range(n):
-        d = rng.integers(0, n + 1)
-        inputs = sorted(rng.choice(np.arange(1, n + 1), size=d, replace=False).tolist())
-        states = np.arange(n_states, dtype=np.int64)
-        proj = np.zeros(n_states, dtype=np.int64)
-        stride = 1
-        for u in inputs:
-            proj += ((states // q ** (u - 1)) % q) * stride
-            stride *= q
-        n_tables = min(q ** (q ** d), 64)
-        tables = rng.integers(0, q, size=(n_tables, q ** d)).astype(np.int64)
-        rows.append(tables[:, proj] * q ** v)
+def reference_histograms(w, counts, n_states):
+    """Rank, periodic rank and fixed points of every system, one at a time."""
+    hist = np.zeros((3, n_states + 1), dtype=np.int64)
+    rows = [[[int(x) for x in w[v, t]] for t in range(int(c))] for v, c in enumerate(counts)]
+    for choice in itertools.product(*rows):
+        f = [sum(values) for values in zip(*choice)]
+        periodic = set(range(n_states))
+        for _ in range(n_states):
+            periodic = {f[x] for x in periodic}
+        hist[0, len(set(f))] += 1
+        hist[1, len(periodic)] += 1
+        hist[2, sum(f[x] == x for x in range(n_states))] += 1
+    return hist
+
+
+def stack(rows, n_states):
     counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
-    w = np.zeros((n, int(counts.max()), n_states), dtype=np.int64)
+    w = np.zeros((len(rows), int(counts.max()), n_states), dtype=np.int64)
     for v, r in enumerate(rows):
         w[v, : r.shape[0]] = r
-    return w, counts, n_states
+    return w, counts
 
 
-def test_backends_agree_on_random_families():
-    rng = np.random.default_rng(99)
-    for _ in range(12):
-        n = int(rng.integers(1, 4))
-        q = int(rng.integers(2, 4))
-        w, counts, n_states = random_family(rng, n, q)
-        a = kernels.family_histograms(w, counts, n_states, backend="numba")
-        b = kernels.family_histograms(w, counts, n_states, backend="numpy")
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+def random_digraph(rng, n, q):
+    """In-degrees up to 3 at q=2 and 2 at q=3, so every table list is small."""
+    arcs = []
+    for v in range(1, n + 1):
+        k = rng.integers(0, min(n, 5 - q) + 1)
+        arcs += [(int(u), v) for u in rng.choice(np.arange(1, n + 1), size=k, replace=False)]
+    return Digraph(n, arcs)
 
 
-def test_backends_agree_univariate():
-    for q in (2, 3, 4):
-        a = kernels.univariate_histograms(q, backend="numba")
-        b = kernels.univariate_histograms(q, backend="numpy")
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+def random_family(rng, n, q, strict, max_systems):
+    """Rows of a random digraph's family, each vertex's tables subsampled."""
+    rows = _vertex_value_rows(random_digraph(rng, n, q), q, strict)
+    cap = max(2, int(max_systems ** (1 / n)))
+    rows = [r[np.sort(rng.choice(r.shape[0], size=min(cap, r.shape[0]), replace=False))]
+            for r in rows]
+    return stack(rows, q ** n)
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("FDSRANK_NO_NUMBA", "1")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.delenv("FDSRANK_NO_NUMBA")
-    assert kernels.active_backend() == "numba"
+def assert_matches_reference(w, counts, n_states):
+    got = np.array(kernels.family_histograms(w, counts, n_states))
+    assert np.array_equal(got, reference_histograms(w, counts, n_states))
 
 
-def test_enumerate_stats_identical_across_backends():
-    d = Digraph(3, [(1, 2), (2, 3), (3, 1), (1, 1), (2, 1)])
-    a = enumerate_stats(d, 2, strict=True, backend="numba").to_json_dict()
-    b = enumerate_stats(d, 2, strict=True, backend="numpy").to_json_dict()
-    assert a == b
+# (vertices, alphabet) for 4, 8, 9, 16, 27, 32, 81 and 128 states: every word
+# width of the bitset path and the sorted path above 64 states
+SHAPES = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2), (4, 3), (7, 2)]
 
 
-def test_unknown_backend_rejected():
-    w = np.zeros((1, 2, 2), dtype=np.int64)
-    with pytest.raises(ValueError):
-        kernels.family_histograms(w, np.array([2]), 2, backend="rust")
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+@pytest.mark.parametrize("n,q", SHAPES, ids=[f"{q}^{n}" for n, q in SHAPES])
+def test_random_families_match_reference(n, q, strict):
+    rng = np.random.default_rng(1000 * n + 10 * q + strict)
+    n_states = q ** n
+    for _ in range(3):
+        w, counts = random_family(rng, n, q, strict, max_systems=max(8, 4096 // n_states))
+        assert_matches_reference(w, counts, n_states)
+
+
+@pytest.mark.parametrize("q", [2, 3], ids=["16", "81"])
+def test_family_over_many_blocks(monkeypatch, q):
+    # blocks of 24 columns: the innermost lists (3 and 4 tables) make a
+    # 12-column product, the boundary list (5 tables) is cut 2 + 2 + 1, and
+    # the outermost list (7 tables) adds a prefix column to each slice
+    n_states = q ** 4
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", 24 * n_states)
+    rng = np.random.default_rng(n_states)
+    rows = []
+    for size in (5, 7, 3, 4):
+        rows.append(rng.integers(0, q, size=(size, n_states)) * q ** len(rows))
+    w, counts = stack(rows, n_states)
+    assert_matches_reference(w, counts, n_states)
+
+
+@pytest.mark.parametrize("n_states", [8, 27, 32, 64, 65, 81])
+def test_longest_transient_is_followed_to_the_end(n_states):
+    # the path x -> x-1 reaches its only periodic point after n_states - 1
+    # steps; in the same block the identity is stable from the first step
+    path = np.maximum(np.arange(n_states) - 1, 0)
+    rng = np.random.default_rng(n_states)
+    maps = np.vstack([path, np.arange(n_states), rng.integers(0, n_states, (6, n_states))])
+    w, counts = stack([maps], n_states)
+    rank, periodic, fixed = kernels.family_histograms(w, counts, n_states)
+    assert periodic[1] >= 1 and periodic[n_states] == 1
+    assert_matches_reference(w, counts, n_states)
+
+
+def test_narrow_input_rows_give_the_same_histograms():
+    rng = np.random.default_rng(5)
+    w, counts = random_family(rng, 3, 3, False, max_systems=200)
+    wide = kernels.family_histograms(w, counts, 27)
+    narrow = kernels.family_histograms(w.astype(np.uint8), counts, 27)
+    for a, b in zip(wide, narrow):
+        assert np.array_equal(a, b)
