@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import ratlp
 from .digraph import Digraph, structure_stats
-from .errors import InconsistentBounds, SizeLimitExceeded
+from .errors import InconsistentBounds, IntegrityError, SizeLimitExceeded
 from .invariants import (
     clique_partition_number,
     cycle_packing_number,
@@ -159,7 +159,7 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
     for i in range(k):
         root = find(1 << i)
         if root in const and const[root] != 1:
-            raise AssertionError("pinned-value clash survived source peeling")
+            raise IntegrityError("pinned-value clash survived source peeling")
         const[root] = Fraction(1)
 
     var_index: dict[int, int] = {}
@@ -187,7 +187,7 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
         row = {j: c for j, c in row.items() if c}
         if not row:
             if folded[0] > 0:
-                raise AssertionError("constant constraint violated in entropy program")
+                raise IntegrityError("constant constraint violated in entropy program")
             return
         rows.append(row)
         senses.append("<=")
@@ -227,11 +227,11 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
                 dual_rows[j][i] = a
         res = ratlp.solve_exact(rhs, dual_rows, [">="] * nvar, c, maximize=False)
         if res.status != ratlp.OPTIMAL:
-            raise AssertionError(f"entropy dual came back {res.status}")
+            raise IntegrityError(f"entropy dual came back {res.status}")
         return EntropyReport(Fraction(res.value), True, tuple(sorted(peeled)), "exact-dual")
     res = ratlp.solve_float(c, rows, senses, rhs, maximize=True)
     if res.status != ratlp.OPTIMAL:
-        raise AssertionError(f"entropy program came back {res.status}")
+        raise IntegrityError(f"entropy program came back {res.status}")
     return EntropyReport(float(res.value), False, tuple(sorted(peeled)), "float")
 
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .digraph import Digraph, weak_components
-from .errors import SizeLimitExceeded
+from .errors import IntegrityError, SizeLimitExceeded
 
 INDEPENDENT_SET_SINK_CAP = 30
 PRODUCT_BOUND_SINK_CAP = 20
@@ -341,7 +341,7 @@ def _reconstruct_tight_witness(c: CanonicalGraph) -> Digraph:
 
     h = search([], [], frozenset())
     if h is None:
-        raise AssertionError("tight canonical graph without a reconstructible witness")
+        raise IntegrityError("tight canonical graph without a reconstructible witness")
     return h
 
 

@@ -37,7 +37,7 @@ from .constructions import (
     star_witness,
 )
 from .digraph import read_digraph, structure_stats
-from .enumeration import enumerate_stats, family_size, resolve_max_funcs
+from .enumeration import enumerate_stats
 from .errors import FdsrankError, GraphFormatError, IntegrityError, SizeLimitExceeded
 from .fds import DEFAULT_MAX_STATES, format_fds
 from .invariants import max_cycle_cover, max_independent_arcs
@@ -133,14 +133,8 @@ def cmd_analyze(args) -> int:
         }
 
     def enumeration():
-        limit = resolve_max_funcs(args.max_funcs)
-        total = family_size(d, q, args.strict)
-        if total > limit:
-            raise SizeLimitExceeded(
-                f"family has {total} systems, over the guard {limit}", projected=total
-            )
         report = enumerate_stats(
-            d, q, strict=args.strict, max_funcs=limit, max_states=args.max_states
+            d, q, strict=args.strict, max_funcs=args.max_funcs, max_states=args.max_states
         )
         return report.to_json_dict()
 
@@ -164,7 +158,7 @@ def cmd_enum(args) -> int:
             d,
             args.q,
             strict=args.strict,
-            max_funcs=resolve_max_funcs(args.max_funcs),
+            max_funcs=args.max_funcs,
             max_states=args.max_states,
         )
     except SizeLimitExceeded as exc:

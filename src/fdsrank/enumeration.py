@@ -3,9 +3,11 @@
 ``enumerate_stats`` sweeps the full table product for a digraph: the strict
 family fixes the interaction graph exactly (every local table must depend
 essentially on each declared input), the loose family only requires
-containment. Averages are exact rationals; a function-count guard (default
-1e8, overridable via the FDSRANK_MAX_FUNCS environment variable) refuses
-oversized sweeps with the projected count.
+containment. Averages are exact rationals. One guard, :func:`price_family`,
+refuses oversized sweeps with the projected size: a function-count guard
+(default 1e8, overridable via the FDSRANK_MAX_FUNCS environment variable),
+the state-space guard of :mod:`fds`, and a cap on the table cells the sweep
+set-up allocates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import kernels
 from .digraph import Digraph, fingerprint
 from .errors import IntegrityError, SizeLimitExceeded
-from .fds import DEFAULT_MAX_STATES
+from .fds import DEFAULT_MAX_STATES, check_states, depends_on, input_index
 
 DEFAULT_MAX_FUNCS = 10 ** 8
 TABLE_CELL_CAP = 1 << 26
@@ -55,15 +57,10 @@ def _all_tables(q: int, d: int) -> np.ndarray:
 def _essential_selector(q: int, d: int) -> np.ndarray:
     """Indices of the tables essential in every input."""
     tables = _all_tables(q, d)
-    count = tables.shape[0]
-    keep = np.ones(count, dtype=bool)
-    idx = np.arange(q ** d, dtype=np.int64)
+    keep = np.ones(tables.shape[0], dtype=bool)
     for j in range(d):
-        stride = q ** j
-        digit = (idx // stride) % q
-        zeroed = idx - digit * stride
-        keep &= (tables != tables[:, zeroed]).any(axis=1)
-    return np.nonzero(keep)[0].astype(np.int64)
+        keep &= depends_on(tables, q, j)
+    return np.nonzero(keep)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,34 +144,56 @@ def _quantity_from_hist(hist: np.ndarray, total: int) -> QuantityStats:
     )
 
 
+def _table_counts(d: Digraph, q: int, strict: bool) -> list[int]:
+    """Number of local tables each vertex ranges over in the family."""
+    ins = d.in_map()
+    return [
+        essential_table_count(q, len(ins[v])) if strict else q ** (q ** len(ins[v]))
+        for v in d.vertices()
+    ]
+
+
 def family_size(d: Digraph, q: int, strict: bool) -> int:
     """Exact number of systems in the family, computed before any materialization."""
-    ins = d.in_map()
-    total = 1
-    for v in d.vertices():
-        k = len(ins[v])
-        total *= essential_table_count(q, k) if strict else q ** (q ** k)
-    return total
+    return math.prod(_table_counts(d, q, strict))
 
 
-def _vertex_value_rows(d: Digraph, q: int, strict: bool):
-    """Per-vertex weighted table-value matrices of shape (tables, states)."""
+def price_family(
+    d: Digraph, q: int, strict: bool, max_funcs: float, max_states: int
+) -> tuple[int, int]:
+    """Systems and states of a family sweep; refuses the sweep over any guard.
+
+    The guards are on systems, states and table cells. The cells are what
+    the sweep set-up allocates before the kernel runs: the per-vertex value
+    rows and the (vertices x most tables x states) tensor they are padded
+    into. ``max_funcs`` is an already resolved limit.
+    """
+    counts = _table_counts(d, q, strict)
+    total = math.prod(counts)
+    if total > max_funcs:
+        raise SizeLimitExceeded(
+            f"family has {total} systems, over the guard {max_funcs}", projected=total
+        )
+    n_states = check_states(d.n, q, max_states)
+    cells = (sum(counts) + d.n * max(counts)) * n_states
+    if cells > TABLE_CELL_CAP:
+        raise SizeLimitExceeded(
+            f"table materialization needs {cells} cells, over {TABLE_CELL_CAP}",
+            projected=cells,
+        )
+    return total, n_states
+
+
+def _vertex_value_rows(d: Digraph, q: int, strict: bool) -> list[np.ndarray]:
+    """Per-vertex local values on every state, one (tables, states) int64 matrix each."""
     ins = d.in_map()
-    n_states = q ** d.n
-    states = np.arange(n_states, dtype=np.int64)
     rows = []
     for v in d.vertices():
         inputs = sorted(ins[v])
-        k = len(inputs)
-        proj = np.zeros(n_states, dtype=np.int64)
-        stride = 1
-        for u in inputs:
-            proj += ((states // q ** (u - 1)) % q) * stride
-            stride *= q
-        tables = _all_tables(q, k)
+        tables = _all_tables(q, len(inputs))
         if strict:
-            tables = tables[_essential_selector(q, k)]
-        rows.append(tables[:, proj] * q ** (v - 1))
+            tables = tables[_essential_selector(q, len(inputs))]
+        rows.append(tables[:, input_index(d.n, q, inputs)])
     return rows
 
 
@@ -186,30 +205,13 @@ def enumerate_stats(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> StatsReport:
     """Exact min/average/max and histograms of rank, periodic rank, fixed points."""
-    total = family_size(d, q, strict)
-    limit = resolve_max_funcs(max_funcs)
-    if total > limit:
-        raise SizeLimitExceeded(
-            f"family has {total} systems, over the guard {limit}", projected=total
-        )
-    n_states = q ** d.n
-    if n_states > max_states:
-        raise SizeLimitExceeded(
-            f"state space {n_states} exceeds the scan guard {max_states}",
-            projected=n_states,
-        )
-    cells = sum(q ** (q ** len(d.in_neighbors(v))) for v in d.vertices()) * n_states
-    if cells > TABLE_CELL_CAP:
-        raise SizeLimitExceeded(
-            f"table materialization needs {cells} cells, over {TABLE_CELL_CAP}",
-            projected=cells,
-        )
+    total, n_states = price_family(d, q, strict, resolve_max_funcs(max_funcs), max_states)
     rows = _vertex_value_rows(d, q, strict)
     counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
     # map values stay below n_states; int64 rows would take up to 8x the memory
     w = np.zeros((d.n, int(counts.max()), n_states), dtype=np.min_scalar_type(n_states - 1))
     for v, r in enumerate(rows):
-        w[v, : r.shape[0]] = r
+        np.multiply(r, q ** v, out=w[v, : r.shape[0]], casting="unsafe")
     hists = kernels.family_histograms(w, counts, n_states)
     # the only guard against a kernel that drops or double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
@@ -245,20 +247,9 @@ def minrank_exact(
     from .constructions import conjunctive, extend_alphabet
     from .fds import rank as fds_rank
 
-    n_states = q ** d.n
-    if n_states > max_states:
-        raise SizeLimitExceeded(
-            f"state space {n_states} exceeds the scan guard {max_states}",
-            projected=n_states,
-        )
-    cells = sum(
-        essential_table_count(q, len(d.in_neighbors(v))) for v in d.vertices()
-    ) * n_states
-    if cells > TABLE_CELL_CAP:
-        raise SizeLimitExceeded(
-            f"table materialization needs {cells} cells, over {TABLE_CELL_CAP}",
-            projected=cells,
-        )
+    # the search prunes the strict family instead of sweeping it, so it has no
+    # function-count guard; a sweep's cells bound the rows it holds
+    _, n_states = price_family(d, q, True, math.inf, max_states)
 
     witness = conjunctive(d)
     while witness.q < q:
@@ -270,18 +261,7 @@ def minrank_exact(
         return incumbent
 
     ins = d.in_map()
-    n_states = q ** d.n
-    states = np.arange(n_states, dtype=np.int64)
-    value_rows = []
-    for v in d.vertices():
-        inputs = sorted(ins[v])
-        proj = np.zeros(n_states, dtype=np.int64)
-        stride = 1
-        for u in inputs:
-            proj += ((states // q ** (u - 1)) % q) * stride
-            stride *= q
-        tables = _all_tables(q, len(inputs))[_essential_selector(q, len(inputs))]
-        value_rows.append(tables[:, proj])
+    value_rows = _vertex_value_rows(d, q, strict=True)
 
     # product factors for suffixes whose coordinates are disjoint from the prefix
     factors = [1] * (d.n + 1)
@@ -333,17 +313,11 @@ def univariate_baseline(q: int, max_funcs: int | None = None) -> UnivariateBasel
 
     The q^q self-maps are the loose family of one looped vertex.
     """
-    total = q ** q
-    limit = resolve_max_funcs(max_funcs)
-    if total > limit:
-        raise SizeLimitExceeded(
-            f"{total} univariate maps, over the guard {limit}", projected=total
-        )
-    report = enumerate_stats(Digraph(1, [(1, 1)]), q, max_funcs=limit)
+    report = enumerate_stats(Digraph(1, [(1, 1)]), q, max_funcs=max_funcs)
     enumerated = report.rank.average
     closed = (1 - Fraction(q - 1, q) ** q) * q
     if closed != enumerated:
-        raise AssertionError(
+        raise IntegrityError(
             f"closed form {closed} disagrees with enumeration {enumerated} at q={q}"
         )
     return UnivariateBaseline(

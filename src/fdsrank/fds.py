@@ -112,31 +112,52 @@ def evaluate_trajectory(f: Fds, x, k: int) -> list[tuple[int, ...]]:
     return traj
 
 
-def _check_states(f: Fds, max_states: int) -> int:
-    m = f.state_count()
+def check_states(n: int, q: int, max_states: int) -> int:
+    """The state count q^n, refused over the scan guard ``max_states``."""
+    m = q ** n
     if m > max_states:
         raise SizeLimitExceeded(
-            f"state space {f.q}^{f.n} = {m} exceeds the scan guard {max_states}",
+            f"state space {m} exceeds the scan guard {max_states}",
             projected=m,
         )
     return m
 
 
+def input_index(n: int, q: int, inputs) -> np.ndarray:
+    """For each of the q^n states, its index into a table over ``inputs``.
+
+    The table is little-endian indexed in the listed order: the first input
+    is the least significant digit.
+    """
+    states = np.arange(q ** n, dtype=np.int64)
+    idx = np.zeros(q ** n, dtype=np.int64)
+    stride = 1
+    for u in inputs:
+        idx += ((states // q ** (u - 1)) % q) * stride
+        stride *= q
+    return idx
+
+
+def depends_on(tables: np.ndarray, q: int, j: int) -> np.ndarray:
+    """Whether each table (indexed along the last axis) changes along its input j.
+
+    ``j`` counts the table's inputs from 0, least significant first.
+    """
+    idx = np.arange(tables.shape[-1], dtype=np.int64)
+    stride = q ** j
+    zeroed = idx - (idx // stride) % q * stride
+    return (tables != tables[..., zeroed]).any(axis=-1)
+
+
 def map_array(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
     """The whole-space transition map on serialized states."""
-    m = _check_states(f, max_states)
+    m = check_states(f.n, f.q, max_states)
     if f._map is not None:
         return f._map
-    states = np.arange(m, dtype=np.int64)
     total = np.zeros(m, dtype=np.int64)
     weight = 1
     for v in range(f.n):
-        idx = np.zeros(m, dtype=np.int64)
-        stride = 1
-        for u in f.inputs[v]:
-            idx += ((states // f.q ** (u - 1)) % f.q) * stride
-            stride *= f.q
-        total += f.tables[v][idx] * weight
+        total += f.tables[v][input_index(f.n, f.q, f.inputs[v])] * weight
         weight *= f.q
     f._map = total
     return total
@@ -178,20 +199,14 @@ def nilpotency_class(f: Fds, max_states: int = DEFAULT_MAX_STATES):
     return True, k
 
 
-def interaction_graph(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> Digraph:
+def interaction_graph(f: Fds) -> Digraph:
     """Arcs u->v exactly where the table of v changes along coordinate u."""
-    arcs = []
-    for v in range(f.n):
-        table = f.tables[v]
-        d = len(f.inputs[v])
-        idx = np.arange(f.q ** d, dtype=np.int64)
-        for j, u in enumerate(f.inputs[v]):
-            stride = f.q ** j
-            digit = (idx // stride) % f.q
-            zeroed = idx - digit * stride
-            if np.any(table != table[zeroed]):
-                arcs.append((u, v + 1))
-    return Digraph(f.n, arcs)
+    return Digraph(f.n, [
+        (u, v + 1)
+        for v in range(f.n)
+        for j, u in enumerate(f.inputs[v])
+        if depends_on(f.tables[v], f.q, j)
+    ])
 
 
 # --- text format ----------------------------------------------------------------

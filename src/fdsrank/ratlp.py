@@ -19,6 +19,7 @@ from fractions import Fraction
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+FAILED = "failed"  # the float solver stopped without a verdict (iteration limit, numerics)
 
 
 @dataclass
@@ -219,6 +220,6 @@ def solve_float(c, rows, senses, rhs, maximize=False) -> LpResult:
     if res.status == 3:
         return LpResult(UNBOUNDED)
     if not res.success:
-        return LpResult(INFEASIBLE)
+        return LpResult(FAILED)
     value = -res.fun if maximize else res.fun
     return LpResult(OPTIMAL, value, list(res.x))

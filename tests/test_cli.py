@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fdsrank import fixtures as fx
-from fdsrank import kernels
+from fdsrank import kernels, ratlp
 from fdsrank.cli import main
 from fdsrank.digraph import format_digraph
 from fdsrank.fds import parse_fds
@@ -107,6 +107,11 @@ class TestExitCodes:
         monkeypatch.setattr(kernels, "family_histograms", drop_one)
         assert main(["enum", star3_file, "--q", "2"]) == 1
         assert "internal check failed" in capsys.readouterr().err
+
+    def test_failed_entropy_program_is_one(self, capsys, monkeypatch, star3_file):
+        monkeypatch.setattr(ratlp, "solve_exact", lambda *a, **k: ratlp.LpResult(ratlp.FAILED))
+        assert main(["bounds", star3_file, "--q", "2"]) == 1
+        assert "internal check failed: entropy dual came back failed" in capsys.readouterr().err
 
 
 class TestEnum:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 import fdsrank
 import oracles
 from conftest import small_digraphs
+from fdsrank import enumeration
 from fdsrank import fixtures as fx
 from fdsrank.digraph import Digraph, structure_stats
 from fdsrank.enumeration import (
@@ -21,7 +23,7 @@ from fdsrank.enumeration import (
     minrank_exact,
     univariate_baseline,
 )
-from fdsrank.errors import SizeLimitExceeded
+from fdsrank.errors import IntegrityError, SizeLimitExceeded
 from fdsrank.fds import make_fds
 
 
@@ -92,6 +94,28 @@ class TestEnumerateStats:
             enumerate_stats(dense, 2, strict=False, max_funcs=1000)
         assert err.value.projected == 2 ** 24
 
+    def test_cell_guard_prices_the_padded_tensor(self, monkeypatch):
+        # vertex 1 ranges over 2^16 tables, the other three over 2 each: the
+        # rows hold (2^16 + 6) * 16 cells, the padded tensor 4 * 2^16 * 16
+        d = Digraph(4, [(u, 1) for u in range(1, 5)])
+        rows, padded = (2 ** 16 + 6) * 16, 4 * 2 ** 16 * 16
+        monkeypatch.setattr(enumeration, "TABLE_CELL_CAP", 2 * rows)
+        assert rows < enumeration.TABLE_CELL_CAP < padded
+        with pytest.raises(SizeLimitExceeded) as err:
+            enumerate_stats(d, 2)
+        assert err.value.projected == rows + padded
+
+    def test_one_guard_prices_every_sweep(self):
+        d = fx.STAR3
+        priced = enumeration.price_family(d, 2, True, 10 ** 8, 2 ** 24)
+        assert priced == (family_size(d, 2, True), 2 ** d.n)
+        with pytest.raises(SizeLimitExceeded) as swept:
+            enumerate_stats(d, 2, strict=True, max_states=2 ** d.n - 1)
+        with pytest.raises(SizeLimitExceeded) as searched:
+            minrank_exact(d, 2, max_states=2 ** d.n - 1)
+        assert searched.value.projected == swept.value.projected == 2 ** d.n
+        assert str(searched.value) == str(swept.value)
+
     def test_brute_force_cross_check_tiny(self):
         # every 2-vertex loose family at q=2, by direct table product
         for d in small_digraphs(2):
@@ -152,8 +176,21 @@ class TestUnivariate:
             assert univariate_baseline(q).fixed_point_free_count == (q - 1) ** q
 
     def test_guard(self):
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(SizeLimitExceeded) as err:
             univariate_baseline(4, max_funcs=10)
+        assert err.value.projected == 4 ** 4
+
+    def test_wrong_enumerated_average_is_an_integrity_error(self, monkeypatch):
+        real = enumeration.enumerate_stats
+
+        def off_by_one(d, q, **kwargs):
+            report = real(d, q, **kwargs)
+            rank = dataclasses.replace(report.rank, average=report.rank.average + 1)
+            return dataclasses.replace(report, rank=rank)
+
+        monkeypatch.setattr(enumeration, "enumerate_stats", off_by_one)
+        with pytest.raises(IntegrityError, match="closed form"):
+            univariate_baseline(3)
 
 
 DROP_ONE_SYSTEM = textwrap.dedent("""

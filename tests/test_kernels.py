@@ -43,11 +43,11 @@ def random_digraph(rng, n, q):
 
 
 def random_family(rng, n, q, strict, max_systems):
-    """Rows of a random digraph's family, each vertex's tables subsampled."""
+    """Weighted rows of a random digraph's family, each vertex's tables subsampled."""
     rows = _vertex_value_rows(random_digraph(rng, n, q), q, strict)
     cap = max(2, int(max_systems ** (1 / n)))
     rows = [r[np.sort(rng.choice(r.shape[0], size=min(cap, r.shape[0]), replace=False))]
-            for r in rows]
+            * q ** v for v, r in enumerate(rows)]
     return stack(rows, q ** n)
 
 

@@ -76,3 +76,14 @@ def test_fractional_optimum_is_exact():
     )
     assert res.value == Fraction(2, 3)
     assert res.x == [Fraction(1, 3), Fraction(1, 3)]
+
+
+def test_float_solver_stopping_early_is_not_infeasible(monkeypatch):
+    from scipy import optimize
+
+    def iteration_limit(*args, **kwargs):
+        return optimize.OptimizeResult(status=1, success=False, message="iteration limit")
+
+    monkeypatch.setattr(optimize, "linprog", iteration_limit)
+    res = ratlp.solve_float([1], [[1]], ["<="], [1], maximize=True)
+    assert res.status == ratlp.FAILED != ratlp.INFEASIBLE

@@ -1,0 +1,24 @@
+"""Rules that hold over the package source as a whole."""
+
+import ast
+from pathlib import Path
+
+import fdsrank
+
+SRC = Path(fdsrank.__file__).resolve().parent
+
+
+def test_integrity_checks_are_typed_errors():
+    # bare asserts vanish under python -O and AssertionError cannot be told
+    # from a bug elsewhere: integrity checks raise IntegrityError instead
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
