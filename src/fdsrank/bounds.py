@@ -12,9 +12,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import ratlp
+from .constructions import loopfull_maxfix
 from .digraph import Digraph, structure_stats
 from .errors import InconsistentBounds, IntegrityError, SizeLimitExceeded
+from .fds import digits
 from .invariants import (
     clique_partition_number,
     cycle_packing_number,
@@ -78,21 +82,12 @@ def max_code_size(n: int, q: int, d) -> int:
         raise SizeLimitExceeded(
             f"code search over {total} words exceeds {CODE_STATE_CAP}", projected=total
         )
-    words = []
-    for w in range(total):
-        digits = []
-        r = w
-        for _ in range(n):
-            digits.append(r % q)
-            r //= q
-        words.append(tuple(digits))
-    adj = [0] * total
-    for i in range(total):
-        for j in range(i + 1, total):
-            dist = sum(a != b for a, b in zip(words[i], words[j]))
-            if dist >= d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    words = digits(q, n)
+    adj = []
+    # one row of distances at a time: the full matrix is (q^n)^2 cells
+    for w in words:
+        far = (words != w).sum(1) >= d
+        adj.append(int.from_bytes(np.packbits(far, bitorder="little").tobytes(), "little"))
     return _max_clique_bitset(adj, total)
 
 
@@ -333,8 +328,6 @@ def fix_bounds_report(d: Digraph, q: int, strict: bool = False) -> BoundsReport:
     all_looped = all((v, v) in d.arcs for v in d.vertices())
     if all_looped:
         def loopfull_value():
-            from .constructions import loopfull_maxfix
-
             base = Digraph(d.n, {(u, v) for u, v in d.arcs if u != v})
             return loopfull_maxfix(base, q)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .digraph import Digraph, weak_components
+from .digraph import Digraph, format_digraph, weak_components
 from .errors import IntegrityError, SizeLimitExceeded
 
 INDEPENDENT_SET_SINK_CAP = 30
@@ -99,8 +99,6 @@ def canonicalize(d: Digraph) -> CanonicalGraph:
 
 def format_canonical(c: CanonicalGraph) -> str:
     """Graph text format plus a trailing provenance comment block."""
-    from .digraph import format_digraph
-
     body = format_digraph(c.as_digraph())
     prov = "".join(
         f"# provenance {cid} {orig} {copy}\n"

@@ -36,22 +36,17 @@ from .constructions import (
     packing_plus_one_witness,
     star_witness,
 )
-from .digraph import read_digraph, structure_stats
+from .digraph import format_digraph, read_digraph, structure_stats
 from .enumeration import enumerate_stats
 from .errors import FdsrankError, GraphFormatError, IntegrityError, SizeLimitExceeded
 from .fds import DEFAULT_MAX_STATES, format_fds
-from .invariants import max_cycle_cover, max_independent_arcs
+from .invariants import cycle_cover_certificate, max_cycle_cover, max_independent_arcs
 from .verify import run_battery
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
-
-
-def _load_graph(path):
-    # GraphFormatError and OSError surface through main() as exit code 2
-    return read_digraph(path)
 
 
 def _section(fn):
@@ -85,7 +80,7 @@ def _flatten(doc, prefix=""):
 
 
 def cmd_analyze(args) -> int:
-    d = _load_graph(args.file)
+    d = read_digraph(args.file)
     q = args.q
     doc = {"input": str(args.file), "q": q, "strict": bool(args.strict), "n": d.n, "m": d.m}
 
@@ -152,18 +147,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    d = _load_graph(args.file)
-    try:
-        report = enumerate_stats(
-            d,
-            args.q,
-            strict=args.strict,
-            max_funcs=args.max_funcs,
-            max_states=args.max_states,
-        )
-    except SizeLimitExceeded as exc:
-        print(f"error: refused by guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    d = read_digraph(args.file)
+    report = enumerate_stats(
+        d, args.q, strict=args.strict, max_funcs=args.max_funcs, max_states=args.max_states
+    )
     if args.format == "table":
         print(report.to_text_table(), end="")
     else:
@@ -172,19 +159,14 @@ def cmd_enum(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    d = _load_graph(args.file)
+    d = read_digraph(args.file)
     sys.stdout.write(format_canonical(canonicalize(d)))
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    d = _load_graph(args.file)
-    try:
-        report = fix_bounds_report(d, args.q, strict=args.strict)
-    except SizeLimitExceeded as exc:
-        print(f"error: refused by guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    doc = report.to_json_dict()
+    d = read_digraph(args.file)
+    doc = fix_bounds_report(d, args.q, strict=args.strict).to_json_dict()
     try:
         rep = entropy_report(d)
         doc["entropy_detail"] = {
@@ -205,15 +187,22 @@ def _parse_packing(text):
 
 def cmd_witness(args) -> int:
     name = args.name
-    if name == "star":
-        f = star_witness(int(args.args[0]))
-    elif name == "modular":
-        f = modular_complete(int(args.args[0]), int(args.args[1]))
+    if name in ("star", "modular"):
+        want = 1 if name == "star" else 2
+        try:
+            nums = [int(a) for a in args.args[:want]]
+        except ValueError:
+            nums = []
+        if len(nums) < want:
+            print(f"error: witness {name} needs {want} integer argument(s), got {args.args}",
+                  file=sys.stderr)
+            return EXIT_PARSE
+        f = star_witness(*nums) if name == "star" else modular_complete(*nums)
     else:
         if not args.args:
             print(f"error: witness {name} needs a graph file argument", file=sys.stderr)
             return EXIT_PARSE
-        d = _load_graph(args.args[0])
+        d = read_digraph(args.args[0])
         if name == "conjunctive":
             f = conjunctive(d)
         elif name == "class-two":
@@ -228,8 +217,6 @@ def cmd_witness(args) -> int:
             if args.packing:
                 packing = _parse_packing(args.packing)
             else:
-                from .invariants import cycle_cover_certificate
-
                 packing = cycle_cover_certificate(d)
             f = packing_plus_one_witness(d, packing)
         else:
@@ -258,8 +245,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    from .digraph import format_digraph
-
     if args.name not in fixtures.CATALOG:
         print(f"error: unknown fixture {args.name!r}; have {sorted(fixtures.CATALOG)}",
               file=sys.stderr)
@@ -276,9 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, q=True):
-        if q:
-            sp.add_argument("--q", type=int, default=2, help="alphabet size (>= 2)")
+    def common(sp):
+        sp.add_argument("--q", type=int, default=2, help="alphabet size (>= 2)")
         sp.add_argument("--max-funcs", type=int, default=None,
                         help="override the enumeration guard (or FDSRANK_MAX_FUNCS)")
         sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
@@ -305,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="fixed-point bound report")
     sp.add_argument("file")
     sp.add_argument("--strict", action="store_true")
-    common(sp)
+    sp.add_argument("--q", type=int, default=2, help="alphabet size (>= 2)")
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("witness", help="emit a witness system in the fds text format")

@@ -10,36 +10,16 @@ import numpy as np
 
 from .canonical import CanonicalGraph, canonicalize, conjunctive_rank_of_canonical
 from .digraph import Digraph
-from .errors import AlphabetTooSmall, BadPacking, EvenN, IntegrityError, LoopsPresent
-from .fds import DEFAULT_MAX_STATES, Fds, make_fds, rank as fds_rank
+from .errors import AlphabetTooSmall, BadPacking, EvenN, IntegrityError, LoopsPresent, ShapeMismatch
+from .fds import DEFAULT_MAX_STATES, Fds, digits, make_fds, rank as fds_rank
 from .invariants import cycle_cover_certificate, independent_arc_certificate, in_dominating_profile
-
-
-def _table(q: int, inputs, fn) -> list[int]:
-    """Tabulate fn over little-endian input tuples (first input least significant)."""
-    d = len(inputs)
-    out = []
-    for idx in range(q ** d):
-        digits = []
-        r = idx
-        for _ in range(d):
-            digits.append(r % q)
-            r //= q
-        out.append(int(fn(dict(zip(inputs, digits)))))
-    return out
 
 
 def conjunctive(d: Digraph) -> Fds:
     """Every vertex is the AND of its in-neighbors; empty conjunctions are 1."""
     ins = d.in_map()
     inputs = [sorted(ins[v]) for v in d.vertices()]
-    tables = []
-    for v in d.vertices():
-        k = len(ins[v])
-        t = np.zeros(2 ** k, dtype=np.int64)
-        t[-1] = 1
-        tables.append(t)
-    return make_fds(d.n, 2, inputs, tables)
+    return make_fds(d.n, 2, inputs, [digits(2, len(i)).all(1) for i in inputs])
 
 
 def conjunctive_rank(d: Digraph, max_states: int = DEFAULT_MAX_STATES) -> int:
@@ -59,20 +39,13 @@ def conjunctive_rank(d: Digraph, max_states: int = DEFAULT_MAX_STATES) -> int:
 
 def extend_alphabet(f: Fds) -> Fds:
     """Same system over alphabet q+1; extra letters behave like q-1."""
-    q, big = f.q, f.q + 1
+    q = f.q
     tables = []
-    for v in range(f.n):
-        d = len(f.inputs[v])
-        idx = np.arange(big ** d, dtype=np.int64)
-        old = np.zeros(big ** d, dtype=np.int64)
-        stride_new, stride_old = 1, 1
-        for _ in range(d):
-            digit = np.minimum((idx // stride_new) % big, q - 1)
-            old += digit * stride_old
-            stride_new *= big
-            stride_old *= q
+    for v, ins in enumerate(f.inputs):
+        d = len(ins)
+        old = np.minimum(digits(q + 1, d), q - 1) @ q ** np.arange(d, dtype=np.int64)
         tables.append(f.tables[v][old])
-    return make_fds(f.n, big, f.inputs, tables)
+    return make_fds(f.n, q + 1, f.inputs, tables)
 
 
 def nilpotent_class_two(d: Digraph, q: int) -> Fds:
@@ -81,11 +54,7 @@ def nilpotent_class_two(d: Digraph, q: int) -> Fds:
         raise AlphabetTooSmall(f"construction needs q >= 3, got {q}")
     ins = d.in_map()
     inputs = [sorted(ins[v]) for v in d.vertices()]
-    tables = [
-        _table(q, inputs[v - 1], lambda x: 0 if all(c <= 1 for c in x.values()) else 1)
-        for v in d.vertices()
-    ]
-    return make_fds(d.n, q, inputs, tables)
+    return make_fds(d.n, q, inputs, [(digits(q, len(i)) > 1).any(1) for i in inputs])
 
 
 def canonical_upper_witness(c: CanonicalGraph) -> Fds:
@@ -96,7 +65,7 @@ def canonical_upper_witness(c: CanonicalGraph) -> Fds:
     and the rank equals the independent-set bound.
     """
     if not c.sinks:
-        raise ValueError("needs at least one sink")
+        raise ShapeMismatch("canonical graph has no sinks")
     q = max(len(c.sinks), 2)
     ins = c.sink_inputs()
     n = len(c.sources) + len(c.sinks)
@@ -105,9 +74,7 @@ def canonical_upper_witness(c: CanonicalGraph) -> Fds:
     for j, b in enumerate(c.sinks, start=1):
         srcs = sorted(ins[b])
         inputs[b - 1] = srcs
-        tables[b - 1] = _table(
-            q, srcs, lambda x, j=j: 1 if all(v == j - 1 for v in x.values()) else 0
-        )
+        tables[b - 1] = (digits(q, len(srcs)) == j - 1).all(1)
     return make_fds(n, q, inputs, tables)
 
 
@@ -122,12 +89,10 @@ def star_witness(n: int) -> Fds:
     ins: list[list[int]] = [[]]
     tables: list[list[int]] = [[1]]
     high = (n + 1) // 2
+    x = digits(2, 2)
     for v in range(2, n + 2):
         ins.append([1, v])
-        if v <= high + 1:
-            tables.append(_table(2, [1, v], lambda x, v=v: x[1] & x[v]))
-        else:
-            tables.append(_table(2, [1, v], lambda x, v=v: (1 - x[1]) & x[v]))
+        tables.append(x[:, 1] & (x[:, 0] if v <= high + 1 else 1 - x[:, 0]))
     return make_fds(n + 1, 2, ins, tables)
 
 
@@ -135,19 +100,9 @@ def modular_complete(n: int, q: int) -> Fds:
     """Negated coordinate sums on the complete graph; fixed points are the
     states with coordinate sum divisible by q."""
     if n < 2:
-        raise ValueError(f"needs at least 2 vertices, got {n}")
+        raise ShapeMismatch(f"needs at least 2 vertices, got {n}")
     inputs = [[u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)]
-    tables = []
-    for v in range(1, n + 1):
-        k = n - 1
-        idx = np.arange(q ** k, dtype=np.int64)
-        tot = np.zeros(q ** k, dtype=np.int64)
-        stride = 1
-        for _ in range(k):
-            tot += (idx // stride) % q
-            stride *= q
-        tables.append((-tot) % q)
-    return make_fds(n, q, inputs, tables)
+    return make_fds(n, q, inputs, [-digits(q, n - 1).sum(1) % q] * n)
 
 
 def maxper_witness(d: Digraph, q: int) -> Fds:
@@ -212,27 +167,11 @@ def packing_plus_one_witness(d: Digraph, packing) -> Fds:
     inputs = []
     tables = []
     for v in d.vertices():
-        i = position[v]
-        conj = {pred[v]}
-        disj = set()
-        for u in ins[v]:
-            if u == pred[v]:
-                continue
-            if position[u] <= i:
-                conj.add(u)
-            else:
-                disj.add(u)
         srcs = sorted(ins[v])
+        later = np.array([u != pred[v] and position[u] > position[v] for u in srcs])
+        x = digits(2, len(srcs))
         inputs.append(srcs)
-        tables.append(
-            _table(
-                2,
-                srcs,
-                lambda x, conj=conj, disj=disj: int(
-                    all(x[u] for u in conj) or any(x[t] for t in disj)
-                ),
-            )
-        )
+        tables.append(x[:, ~later].all(1) | x[:, later].any(1))
     return make_fds(d.n, 2, inputs, tables)
 
 

@@ -12,6 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import GraphFormatError
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -198,8 +200,6 @@ def is_primitive(d: Digraph) -> bool:
 # 1-based vertices, duplicate arcs rejected.
 
 def parse_digraph(text: str) -> Digraph:
-    from .errors import GraphFormatError
-
     n = None
     arcs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -21,9 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
+from .canonical import canonicalize, product_bound
+from .constructions import conjunctive, extend_alphabet
 from .digraph import Digraph, fingerprint
 from .errors import IntegrityError, SizeLimitExceeded
-from .fds import DEFAULT_MAX_STATES, check_states, depends_on, input_index
+from .fds import DEFAULT_MAX_STATES, check_states, depends_on, digits, input_index
+from .fds import rank as fds_rank
 
 DEFAULT_MAX_FUNCS = 10 ** 8
 TABLE_CELL_CAP = 1 << 26
@@ -46,11 +49,7 @@ def essential_table_count(q: int, d: int) -> int:
 @lru_cache(maxsize=64)
 def _all_tables(q: int, d: int) -> np.ndarray:
     """Matrix of every table on d inputs: row t holds the q^d outputs of table t."""
-    count = q ** (q ** d)
-    powers = q ** np.arange(q ** d, dtype=np.int64)
-    return ((np.arange(count, dtype=np.int64)[:, None] // powers[None, :]) % q).astype(
-        np.int64
-    )
+    return digits(q, q ** d)
 
 
 @lru_cache(maxsize=64)
@@ -243,10 +242,6 @@ def minrank_exact(
     image tuples, multiplied by the canonical product bound of the unassigned
     remainder whenever the two blocks read disjoint coordinates.
     """
-    from .canonical import canonicalize, product_bound
-    from .constructions import conjunctive, extend_alphabet
-    from .fds import rank as fds_rank
-
     # the search prunes the strict family instead of sweeping it, so it has no
     # function-count guard; a sweep's cells bound the rows it holds
     _, n_states = price_family(d, q, True, math.inf, max_states)

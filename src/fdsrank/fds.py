@@ -91,6 +91,15 @@ def index_to_state(idx, n, q) -> tuple[int, ...]:
     return tuple(out)
 
 
+def digits(q: int, k: int) -> np.ndarray:
+    """The (q^k, k) matrix whose row i holds the k base-q digits of i.
+
+    Least significant digit first, the order of states and table cells; for
+    k=0 the shape is (1, 0).
+    """
+    return np.arange(q ** k, dtype=np.int64)[:, None] // q ** np.arange(k, dtype=np.int64) % q
+
+
 def evaluate(f: Fds, x) -> tuple[int, ...]:
     """One synchronous step from an explicit state tuple."""
     out = []

@@ -308,17 +308,22 @@ def independent_arc_certificate(d: Digraph) -> list[tuple[int, int]]:
     return kept
 
 
-def _cycle_cover_weights(d: Digraph, avail: set[tuple[int, int]],
-                         free: list[int]) -> np.ndarray:
+def _cycle_cover_weights(d: Digraph, tails: list[int], heads: list[int],
+                         arcs) -> np.ndarray:
+    """Tail-copy x head-copy weights: 0 pairs a vertex with itself, 1 takes an arc.
+
+    Arcs are written after the self pairs, so a loop weighs 1.
+    """
     forbidden = -(4 * d.n + 4)
-    k = len(free)
-    idx = {v: i for i, v in enumerate(free)}
-    w = np.full((k, k), forbidden, dtype=np.int64)
-    for v in free:
-        w[idx[v], idx[v]] = 0
-    for u, v in avail:
-        if u in idx and v in idx:
-            w[idx[u], idx[v]] = 1
+    ti = {v: i for i, v in enumerate(tails)}
+    hi = {v: i for i, v in enumerate(heads)}
+    w = np.full((len(tails), len(heads)), forbidden, dtype=np.int64)
+    for v in tails:
+        if v in hi:
+            w[ti[v], hi[v]] = 0
+    for u, v in arcs:
+        if u in ti and v in hi:
+            w[ti[u], hi[v]] = 1
     return w
 
 
@@ -328,9 +333,8 @@ def max_cycle_cover(d: Digraph) -> int:
     Solved as a maximum-weight perfect matching between tail and head copies,
     with weight-0 fallback edges pairing each vertex with itself.
     """
-    free = list(d.vertices())
-    w = _cycle_cover_weights(d, set(d.arcs), free)
-    total, _ = _assignment_value(w)
+    verts = list(d.vertices())
+    total, _ = _assignment_value(_cycle_cover_weights(d, verts, verts, d.arcs))
     return max(total, 0)
 
 
@@ -349,17 +353,7 @@ def cycle_cover_certificate(d: Digraph) -> list[tuple[int, ...]]:
         # reduced problem over the vertices whose tail or head copy is still free
         free_t = [x for x in d.vertices() if x not in trial_tails]
         free_h = [x for x in d.vertices() if x not in trial_heads]
-        forbidden = -(4 * d.n + 4)
-        w = np.full((len(free_t), len(free_h)), forbidden, dtype=np.int64)
-        ti = {x: j for j, x in enumerate(free_t)}
-        hi = {x: j for j, x in enumerate(free_h)}
-        for x in d.vertices():
-            if x in ti and x in hi:
-                w[ti[x], hi[x]] = 0
-        for a, b in arcs[i + 1:]:
-            if a in ti and b in hi:
-                w[ti[a], hi[b]] = 1
-        rest, _ = _assignment_value(w)
+        rest, _ = _assignment_value(_cycle_cover_weights(d, free_t, free_h, arcs[i + 1:]))
         if rest >= 0 and len(kept) + 1 + rest == target:
             kept.append((u, v))
             used_tails = trial_tails

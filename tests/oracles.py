@@ -197,6 +197,18 @@ def eval_map(f) -> dict[tuple, tuple]:
     return out
 
 
+def tabulate(q, inputs, rule) -> list[int]:
+    """Table of ``rule`` cell by cell; the first input is the least significant digit.
+
+    ``rule`` gets a dict from input vertex to its value.
+    """
+    table = []
+    # product varies its last position fastest, so the digits come reversed
+    for values in itertools.product(range(q), repeat=len(inputs)):
+        table.append(int(rule(dict(zip(inputs, reversed(values))))))
+    return table
+
+
 def brute_rank(f) -> int:
     return len(set(eval_map(f).values()))
 

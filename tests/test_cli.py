@@ -191,6 +191,24 @@ class TestWitness:
     def test_unknown_witness(self, capsys, star3_file):
         assert main(["witness", "bogus", star3_file]) == 2
 
+    def test_canonical_upper_without_sinks_is_two(self, capsys, tmp_path):
+        path = tmp_path / "e3.graph"
+        path.write_text(format_digraph(fx.E3))
+        assert main(["witness", "canonical-upper", str(path)]) == 2
+        assert "no sinks" in capsys.readouterr().err
+
+    def test_modular_on_one_vertex_is_two(self, capsys):
+        assert main(["witness", "modular", "1", "2"]) == 2
+        assert "at least 2 vertices" in capsys.readouterr().err
+
+    def test_star_without_number_is_two(self, capsys):
+        assert main(["witness", "star"]) == 2
+        assert "needs 1 integer" in capsys.readouterr().err
+
+    def test_modular_with_non_integer_is_two(self, capsys):
+        assert main(["witness", "modular", "3", "x"]) == 2
+        assert "needs 2 integer" in capsys.readouterr().err
+
 
 class TestFixture:
     def test_known(self, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from fdsrank import fixtures as fx
 from fdsrank.canonical import canonicalize, independent_set_bound
 from fdsrank.constructions import (
@@ -19,15 +20,16 @@ from fdsrank.constructions import (
     threshold_states,
 )
 from fdsrank.digraph import Digraph
-from fdsrank.errors import AlphabetTooSmall, BadPacking, EvenN, LoopsPresent
+from fdsrank.errors import AlphabetTooSmall, BadPacking, EvenN, LoopsPresent, ShapeMismatch
 from fdsrank.fds import (
     fixed_points,
     interaction_graph,
+    make_fds,
     nilpotency_class,
     periodic_rank,
     rank,
 )
-from fdsrank.invariants import max_cycle_cover, max_independent_arcs
+from fdsrank.invariants import cycle_cover_certificate, max_cycle_cover, max_independent_arcs
 
 
 def random_digraph(rng, n_max=3):
@@ -126,6 +128,10 @@ class TestCanonicalUpperWitness:
         c = canonicalize(fx.P1)
         assert rank(canonical_upper_witness(c)) == 2
 
+    def test_rejects_graph_without_sinks(self):
+        with pytest.raises(ShapeMismatch):
+            canonical_upper_witness(canonicalize(fx.E3))
+
     def test_matches_bound_on_random_graphs(self):
         rng = random.Random(29)
         for _ in range(25):
@@ -170,6 +176,10 @@ class TestModularComplete:
 
     def test_interaction_graph(self):
         assert interaction_graph(modular_complete(3, 2)) == fx.K3
+
+    def test_rejects_one_vertex(self):
+        with pytest.raises(ShapeMismatch):
+            modular_complete(1, 2)
 
 
 class TestMaxPerWitness:
@@ -282,3 +292,99 @@ class TestLoopfullMaxfix:
     def test_rejects_loops(self):
         with pytest.raises(LoopsPresent):
             loopfull_maxfix(fx.L1, 2)
+
+
+def rule_graphs():
+    rng = random.Random(53)
+    return list(fx.CATALOG.values()) + [random_digraph(rng, n_max=4) for _ in range(40)]
+
+
+def assert_tabulates(f, rules):
+    """Vertex v reads the inputs of ``rules[v]`` and its table is that rule, cell by cell."""
+    assert len(rules) == f.n
+    for v, (inputs, rule) in enumerate(rules):
+        assert f.inputs[v] == tuple(inputs)
+        assert f.tables[v].tolist() == oracles.tabulate(f.q, inputs, rule)
+
+
+class TestTablesFollowTheirRule:
+    """Each witness table against the rule in its docstring, tabulated by the oracle."""
+
+    def test_conjunctive(self):
+        for d in rule_graphs():
+            ins = d.in_map()
+            rules = [(sorted(ins[v]), lambda x: all(x.values())) for v in d.vertices()]
+            assert_tabulates(conjunctive(d), rules)
+
+    def test_class_two(self):
+        for d in rule_graphs():
+            ins = d.in_map()
+            rules = [(sorted(ins[v]), lambda x: any(c > 1 for c in x.values()))
+                     for v in d.vertices()]
+            for q in (3, 4):
+                assert_tabulates(nilpotent_class_two(d, q), rules)
+
+    def test_canonical_upper(self):
+        for d in rule_graphs():
+            c = canonicalize(d)
+            if not c.sinks:
+                continue
+            rules = [([], lambda x: 0)] * (len(c.sources) + len(c.sinks))
+            for j, b in enumerate(c.sinks, start=1):
+                srcs = sorted(c.sink_inputs()[b])
+                rules[b - 1] = (srcs, lambda x, j=j: all(s == j - 1 for s in x.values()))
+            f = canonical_upper_witness(c)
+            assert f.q == max(len(c.sinks), 2)
+            assert_tabulates(f, rules)
+
+    def test_star(self):
+        for n in (3, 5, 7):
+            high = (n + 1) // 2
+            rules = [([], lambda x: 1)]
+            for v in range(2, n + 2):
+                if v <= high + 1:
+                    rules.append(([1, v], lambda x, v=v: x[1] and x[v]))
+                else:
+                    rules.append(([1, v], lambda x, v=v: not x[1] and x[v]))
+            assert_tabulates(star_witness(n), rules)
+
+    def test_modular(self):
+        for n in (2, 3, 4):
+            for q in (2, 3, 4):
+                rules = [([u for u in range(1, n + 1) if u != v],
+                          lambda x: -sum(x.values()) % q) for v in range(1, n + 1)]
+                assert_tabulates(modular_complete(n, q), rules)
+
+    def test_extend_alphabet(self):
+        rng = random.Random(59)
+        for d in rule_graphs():
+            ins = d.in_map()
+            inputs = [sorted(ins[v]) for v in d.vertices()]
+            for q in (2, 3):
+                f = make_fds(d.n, q, inputs,
+                             [[rng.randrange(q) for _ in range(q ** len(i))] for i in inputs])
+                rules = [
+                    (i, lambda x, i=i, t=f.tables[v]:
+                        t[sum(min(x[u], q - 1) * q ** j for j, u in enumerate(i))])
+                    for v, i in enumerate(inputs)
+                ]
+                assert_tabulates(extend_alphabet(f), rules)
+
+    def test_packing_plus_one(self):
+        tried = 0
+        for d in rule_graphs():
+            if max_cycle_cover(d) != d.n:
+                continue
+            packing = cycle_cover_certificate(d)
+            position = {v: i for i, cyc in enumerate(packing) for v in cyc}
+            pred = {v: cyc[j - 1] for cyc in packing for j, v in enumerate(cyc)}
+            ins = d.in_map()
+            rules = []
+            for v in d.vertices():
+                conj = [u for u in ins[v] if u == pred[v] or position[u] <= position[v]]
+                disj = [u for u in ins[v] if u not in conj]
+                rules.append((sorted(ins[v]), lambda x, conj=conj, disj=disj:
+                              all(x[u] for u in conj) or any(x[u] for u in disj)))
+            assert_tabulates(packing_plus_one_witness(d, packing), rules)
+            tried += 1
+        assert tried > 5

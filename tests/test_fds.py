@@ -13,6 +13,7 @@ from fdsrank.errors import (
     ValueOutOfRange,
 )
 from fdsrank.fds import (
+    digits,
     evaluate_trajectory,
     fixed_points,
     format_fds,
@@ -74,6 +75,13 @@ class TestStateSerialization:
     def test_roundtrip(self):
         for idx in range(27):
             assert state_to_index(index_to_state(idx, 3, 3), 3) == idx
+
+    def test_digit_rows_are_the_states(self):
+        for q, k in ((2, 1), (2, 4), (3, 3), (4, 2)):
+            x = digits(q, k)
+            assert x.shape == (q ** k, k) and x.dtype == np.int64
+            assert [state_to_index(row, q) for row in x] == list(range(q ** k))
+        assert digits(3, 0).shape == (1, 0)
 
 
 class TestTrajectory:

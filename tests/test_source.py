@@ -22,3 +22,17 @@ def test_integrity_checks_are_typed_errors():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_imports_sit_at_module_top():
+    # a function-local import of a package module hides a dependency from the
+    # module header; third-party lazy imports (scipy) stay allowed
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
