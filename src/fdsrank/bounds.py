@@ -105,6 +105,7 @@ class EntropyReport:
         return bool(self.peeled)
 
 
+@lru_cache(maxsize=1024)
 def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyReport:
     """Optimal value of the shared-entropy program bounding log_q of max fixed points.
 
@@ -188,11 +189,15 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
         senses.append("<=")
         rhs.append(-folded[0])
 
+    # Shannon's cone is cut out by its elemental inequalities (Yeung, IEEE
+    # Trans. IT 1997): monotonicity only at h(N - i) <= h(N), and every
+    # submodularity row h(S + i + j) + h(S) <= h(S + i) + h(S + j)
+    for i in range(k):
+        add_le([(full & ~(1 << i), 1), (full, -1)])
     for mask in range(full + 1):
         for i in range(k):
             if mask & (1 << i):
                 continue
-            add_le([(mask, 1), (mask | (1 << i), -1)])
             for j in range(i + 1, k):
                 if mask & (1 << j):
                     continue

@@ -25,11 +25,17 @@ from .canonical import canonicalize, product_bound
 from .constructions import conjunctive, extend_alphabet
 from .digraph import Digraph, fingerprint
 from .errors import IntegrityError, SizeLimitExceeded
-from .fds import DEFAULT_MAX_STATES, check_states, depends_on, digits, input_index
+from .fds import (
+    DEFAULT_MAX_STATES,
+    TABLE_CELL_CAP,
+    check_states,
+    depends_on,
+    digits,
+    input_index,
+)
 from .fds import rank as fds_rank
 
 DEFAULT_MAX_FUNCS = 10 ** 8
-TABLE_CELL_CAP = 1 << 26
 
 
 def resolve_max_funcs(override=None) -> int:

@@ -18,6 +18,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_STATES = 1 << 24
+TABLE_CELL_CAP = 1 << 26  # int64 cells one sweep set-up or one digit matrix may allocate
 
 
 class Fds:
@@ -95,8 +96,14 @@ def digits(q: int, k: int) -> np.ndarray:
     """The (q^k, k) matrix whose row i holds the k base-q digits of i.
 
     Least significant digit first, the order of states and table cells; for
-    k=0 the shape is (1, 0).
+    k=0 the shape is (1, 0). Refused over ``TABLE_CELL_CAP`` cells.
     """
+    cells = q ** k * k
+    if cells > TABLE_CELL_CAP:
+        raise SizeLimitExceeded(
+            f"digit matrix of {q}^{k} rows needs {cells} cells, over {TABLE_CELL_CAP}",
+            projected=cells,
+        )
     return np.arange(q ** k, dtype=np.int64)[:, None] // q ** np.arange(k, dtype=np.int64) % q
 
 

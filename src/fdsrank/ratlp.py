@@ -1,18 +1,34 @@
-"""Small dense LP solver in exact rational arithmetic, with a float fallback.
-
-The exact path is a textbook two-phase tableau simplex over ``Fraction``
-entries using Bland's rule, so it terminates on degenerate systems. It is
-meant for the small programs produced elsewhere in the package (columns up
-to a few thousand, rows up to a few hundred); anything larger should go
-through :func:`solve_float`, which wraps scipy's HiGHS backend.
+"""Small LP solver: exact rational optima from a certified float solve.
 
 All programs are of the form
 
     optimize  c . x   subject to  A_i . x  (<= | = | >=)  b_i,  x >= 0.
+
+:func:`solve_exact` certifies rather than pivots (Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems", Oper. Res.
+Lett. 2007):
+
+1. Each row and the objective are scaled by a positive integer to whole
+   numbers, and scipy's HiGHS solves that program in floats.
+2. Its primal ``x`` and row duals ``y`` are snapped to the nearest
+   rationals of denominator at most ``SNAP_DENOMINATOR``.
+3. The pair is accepted only if, in exact integer arithmetic, ``x >= 0``
+   meets every row, each ``y_i`` has the sign its row's sense needs, ``y``
+   meets every dual row, and ``c . x == b . y``. Weak duality then makes
+   ``c . x`` the exact optimum.
+4. In every other case (a failed check, or any HiGHS verdict but optimal)
+   the program goes to :func:`solve_tableau`, the two-phase tableau simplex
+   over ``Fraction`` entries with Bland's rule, which terminates on
+   degenerate systems. An infeasible or unbounded verdict therefore always
+   comes from the tableau.
+
+:func:`solve_float` returns the HiGHS answer as it stands, for programs too
+large for either exact path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +36,11 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 FAILED = "failed"  # the float solver stopped without a verdict (iteration limit, numerics)
+
+# a float within 1/(2 q D) of a rational p/q with q <= D snaps to it exactly;
+# HiGHS solves to 1e-9, far inside that for D = 1000
+SNAP_DENOMINATOR = 1000
+SENSES = ("<=", ">=", "=")
 
 
 @dataclass
@@ -40,8 +61,138 @@ def _to_fraction_row(row, width):
     return out
 
 
+def _items(row):
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
+def _whole(values) -> tuple[list[int], int]:
+    """``values`` times the least positive integer that makes them all whole."""
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact], scale
+
+
+def _highs(nvar, rows, senses, rhs, cost):
+    """``min cost . x`` by scipy's HiGHS; returns the result and the row duals.
+
+    ``rows`` are ``{column: coefficient}`` dicts. The duals ``y`` are those
+    of ``max b . y`` subject to ``A^T y <= cost``, with ``y_i <= 0`` on
+    ``<=`` rows and ``y_i >= 0`` on ``>=`` rows; ``None`` unless HiGHS
+    reports an optimum.
+    """
+    import numpy as np
+    from scipy import optimize, sparse
+
+    for s in senses:
+        if s not in SENSES:
+            raise ValueError(f"bad sense {s!r}")
+    # HiGHS takes <= and = blocks: a >= row enters negated
+    sign = [-1.0 if s == ">=" else 1.0 for s in senses]
+    blocks = []
+    for eq in (False, True):
+        idx = [i for i, s in enumerate(senses) if (s == "=") == eq]
+        data, r, col = [], [], []
+        for k, i in enumerate(idx):
+            for j, a in rows[i].items():
+                data.append(sign[i] * float(a))
+                r.append(k)
+                col.append(j)
+        matrix = sparse.csr_array((data, (r, col)), shape=(len(idx), nvar)) if idx else None
+        bound = np.array([sign[i] * float(rhs[i]) for i in idx]) if idx else None
+        blocks.append((idx, matrix, bound))
+    (ub, a_ub, b_ub), (eq, a_eq, b_eq) = blocks
+    res = optimize.linprog(
+        np.array([float(a) for a in cost]),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    if res.status != 0:
+        return res, None
+    y = [0.0] * len(senses)
+    for i, m in zip(ub, res.ineqlin.marginals):
+        y[i] = sign[i] * m
+    for i, m in zip(eq, res.eqlin.marginals):
+        y[i] = m
+    return res, y
+
+
+def _snap(values) -> tuple[list[Fraction], list[int], int]:
+    """The nearest rationals of denominator at most ``SNAP_DENOMINATOR``,
+    their numerators over a common denominator, and that denominator."""
+    snapped = [Fraction(v).limit_denominator(SNAP_DENOMINATOR) for v in values]
+    den = math.lcm(*(v.denominator for v in snapped))
+    return snapped, [v.numerator * (den // v.denominator) for v in snapped], den
+
+
+def _certified_cost(rows, senses, rhs, cost, x, xden, y, yden):
+    """``cost . x`` if x and y certify it as the minimum, else None.
+
+    The program is in whole numbers and x, y are whole over the common
+    denominators ``xden`` and ``yden``, so every check is integer arithmetic:
+    ``x >= 0`` meets every row, each ``y_i`` has its row's sign, ``A^T y <=
+    cost``, and ``cost . x == b . y`` (weak duality then makes it optimal).
+    """
+    if any(v < 0 for v in x):
+        return None
+    reduced = [a * yden for a in cost]
+    for row, s, b, yi in zip(rows, senses, rhs, y):
+        ax, bx = sum(a * x[j] for j, a in row.items()), b * xden
+        if s == "<=":
+            ok = ax <= bx and yi <= 0
+        elif s == ">=":
+            ok = ax >= bx and yi >= 0
+        else:
+            ok = ax == bx
+        if not ok:
+            return None
+        if yi:
+            for j, a in row.items():
+                reduced[j] -= a * yi
+    if any(r < 0 for r in reduced):
+        return None
+    primal = sum(a * v for a, v in zip(cost, x))
+    if primal * yden != sum(b * v for b, v in zip(rhs, y)) * xden:
+        return None
+    return Fraction(primal, xden)
+
+
 def solve_exact(c, rows, senses, rhs, maximize=False) -> LpResult:
-    """Two-phase simplex over exact rationals.
+    """Exact optimum of the stated (max or min) problem.
+
+    ``rows`` may mix dense sequences and sparse ``{index: coeff}`` dicts.
+    A certified HiGHS answer when there is one, else :func:`solve_tableau`.
+    """
+    # scaling a row or the objective by a positive number keeps the optimal
+    # x, so the certificate works on whole numbers
+    whole_rows, whole_rhs = [], []
+    for row, b in zip(rows, rhs):
+        items = list(_items(row))
+        scaled, _scale = _whole([a for _j, a in items] + [b])
+        whole_rows.append({j: a for (j, _a), a in zip(items, scaled) if a})
+        whole_rhs.append(scaled[-1])
+    cost, cost_scale = _whole(c)
+    if maximize:
+        cost = [-a for a in cost]
+    try:
+        res, y = _highs(len(cost), whole_rows, senses, whole_rhs, cost)
+    except OverflowError:  # a coefficient past the float range
+        y = None
+    if y is not None:
+        x, xw, xden = _snap(res.x)
+        _y, yw, yden = _snap(y)
+        best = _certified_cost(whole_rows, senses, whole_rhs, cost, xw, xden, yw, yden)
+        if best is not None:
+            return LpResult(OPTIMAL, (-best if maximize else best) / cost_scale, x)
+    return solve_tableau(c, rows, senses, rhs, maximize)
+
+
+def solve_tableau(c, rows, senses, rhs, maximize=False) -> LpResult:
+    """Two-phase tableau simplex over exact rationals, with Bland's rule.
 
     ``rows`` may mix dense sequences and sparse ``{index: coeff}`` dicts.
     Returns the optimum of the stated (max or min) problem.
@@ -175,46 +326,9 @@ def solve_exact(c, rows, senses, rhs, maximize=False) -> LpResult:
 
 def solve_float(c, rows, senses, rhs, maximize=False) -> LpResult:
     """Float path via scipy HiGHS; 1e-9 feasibility tolerance."""
-    import numpy as np
-    from scipy import optimize
-
-    nvar = len(c)
-
-    def dense(row):
-        out = [0.0] * nvar
-        if isinstance(row, dict):
-            for j, a in row.items():
-                out[j] = float(a)
-        else:
-            for j, a in enumerate(row):
-                out[j] = float(a)
-        return out
-
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, s, b in zip(rows, senses, rhs):
-        r = dense(row)
-        if s == "<=":
-            a_ub.append(r)
-            b_ub.append(float(b))
-        elif s == ">=":
-            a_ub.append([-x for x in r])
-            b_ub.append(-float(b))
-        else:
-            a_eq.append(r)
-            b_eq.append(float(b))
-    cvec = np.array([float(x) for x in c])
-    if maximize:
-        cvec = -cvec
-    res = optimize.linprog(
-        cvec,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
-    )
+    cost = [-float(a) for a in c] if maximize else [float(a) for a in c]
+    sparse_rows = [{j: a for j, a in _items(row) if a} for row in rows]
+    res, _y = _highs(len(c), sparse_rows, senses, rhs, cost)
     if res.status == 2:
         return LpResult(INFEASIBLE)
     if res.status == 3:

@@ -249,3 +249,54 @@ def brute_interaction_arcs(f) -> set[tuple[int, int]]:
             if found:
                 arcs.add((u, v + 1))
     return arcs
+
+
+def full_entropy_program(d):
+    """The shared-entropy program with every Shannon row written out.
+
+    Sources are peeled until every remaining vertex has an in-neighbour in
+    the core. One variable h(S) per subset S of the core (bit i is the i-th
+    core vertex), with h(empty) = 0, h(v) = 1, h(in(v) + v) = h(in(v)), and
+    for every S and i, j outside it monotonicity h(S) <= h(S + i) and
+    submodularity h(S + i + j) + h(S) <= h(S + i) + h(S + j). Returns
+    (c, rows, senses, rhs) to maximize h(core), or None for an empty core.
+    """
+    core = set(d.vertices())
+    while True:
+        sources = {v for v in core if not any((u, v) in d.arcs for u in core)}
+        if not sources:
+            break
+        core -= sources
+    if not core:
+        return None
+    verts = sorted(core)
+    k = len(verts)
+    full = (1 << k) - 1
+    rows, senses, rhs = [], [], []
+
+    def add(terms, sense, b):
+        row = {}
+        for mask, a in terms:
+            row[mask] = row.get(mask, 0) + a
+        rows.append(row)
+        senses.append(sense)
+        rhs.append(b)
+
+    add([(0, 1)], "=", 0)
+    for i, v in enumerate(verts):
+        ins = sum(1 << j for j, u in enumerate(verts) if (u, v) in d.arcs)
+        add([(1 << i, 1)], "=", 1)
+        add([(ins | 1 << i, 1), (ins, -1)], "=", 0)
+    for mask in range(full + 1):
+        for i in range(k):
+            if mask >> i & 1:
+                continue
+            add([(mask, 1), (mask | 1 << i, -1)], "<=", 0)
+            for j in range(i + 1, k):
+                if mask >> j & 1:
+                    continue
+                add([(mask | 1 << i | 1 << j, 1), (mask, 1), (mask | 1 << i, -1),
+                     (mask | 1 << j, -1)], "<=", 0)
+    c = [0] * (full + 1)
+    c[full] = 1
+    return c, rows, senses, rhs

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from conftest import small_digraphs
 from fdsrank import fixtures as fx
+from fdsrank import ratlp
 from fdsrank.bounds import (
     _floor_power,
     entropy_H,
@@ -78,6 +80,28 @@ class TestEntropy:
         for name, d in fx.CATALOG.items():
             h = entropy_report(d).value
             assert float(h) <= transversal_number(d) + 1e-9, name
+
+    def test_elemental_rows_give_the_full_program_value(self):
+        # Shannon's cone from its elemental inequalities is the same cone, so
+        # the package program and the one with every row have one optimum
+        rng = random.Random(11)
+        graphs = list(fx.CATALOG.values())
+        for _ in range(40):
+            n = rng.choice((4, 5))
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+            graphs.append(Digraph(n, [p for p in pairs if rng.random() < 0.4]))
+        for d in graphs:
+            program = oracles.full_entropy_program(d)
+            full = 0 if program is None else ratlp.solve_exact(*program, maximize=True).value
+            assert entropy_report(d).value == full, d
+
+    def test_catalog_programs_are_certified_without_the_tableau(self, monkeypatch):
+        def no_tableau(*args, **kwargs):
+            raise AssertionError("entropy program fell back to the tableau")
+
+        monkeypatch.setattr(ratlp, "solve_tableau", no_tableau)
+        for d in fx.CATALOG.values():
+            assert entropy_report(d).exact
 
     def test_float_path_matches_exact(self):
         for d in (fx.C5_SYM, fx.C3, fx.K3):

@@ -145,6 +145,17 @@ class TestBounds:
         assert doc["best_lower"] == doc["best_upper"] == 4
         assert doc["consistent"]
 
+    def test_one_entropy_solve_for_loose_and_strict(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "c5.graph"
+        path.write_text(format_digraph(fx.C5_SYM))
+        calls = []
+        real = ratlp.solve_exact
+        monkeypatch.setattr(ratlp, "solve_exact", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for strict in ([], ["--strict"]):
+            assert main(["bounds", str(path), "--q", "2", *strict]) == 0
+            assert json.loads(capsys.readouterr().out)["entropy_detail"]["value"] == "5/2"
+        assert len(calls) == 1
+
 
 class TestWitness:
     def test_star(self, capsys):
@@ -208,6 +219,20 @@ class TestWitness:
     def test_modular_with_non_integer_is_two(self, capsys):
         assert main(["witness", "modular", "3", "x"]) == 2
         assert "needs 2 integer" in capsys.readouterr().err
+
+    def test_modular_over_the_table_cap_is_three(self, capsys):
+        # 30^29 digit rows: refused before numpy is asked for them
+        assert main(["witness", "modular", "30", "30"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "digit matrix" in err
+
+    def test_class_two_over_the_table_cap_is_three(self, capsys, tmp_path):
+        # 10^10 rows of 2 digits would be 149 GiB of int64
+        path = tmp_path / "k3.graph"
+        path.write_text(format_digraph(fx.K3))
+        assert main(["witness", "class-two", str(path), "--q", "100000"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "digit matrix" in err
 
 
 class TestFixture:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import fdsrank
 import oracles
 from conftest import small_digraphs
-from fdsrank import enumeration
+from fdsrank import enumeration, fds
 from fdsrank import fixtures as fx
 from fdsrank.digraph import Digraph, structure_stats
 from fdsrank.enumeration import (
@@ -115,6 +116,26 @@ class TestEnumerateStats:
             minrank_exact(d, 2, max_states=2 ** d.n - 1)
         assert searched.value.projected == swept.value.projected == 2 ** d.n
         assert str(searched.value) == str(swept.value)
+
+    @pytest.mark.parametrize("cap", [200, 5_000, 100_000])
+    def test_digit_guard_never_refuses_a_priced_sweep(self, monkeypatch, cap):
+        # a sweep's tables are digits(q, q^d); under one shared cap, every
+        # family price_family accepts materializes them without a refusal
+        monkeypatch.setattr(enumeration, "TABLE_CELL_CAP", cap)
+        monkeypatch.setattr(fds, "TABLE_CELL_CAP", cap)
+        accepted = 0
+        for q in (2, 3, 4, 5):
+            for d in range(4):
+                for n in range(max(d, 1), d + 3):
+                    g = Digraph(n, [(u, 1) for u in range(1, d + 1)])
+                    for strict in (False, True):
+                        try:
+                            enumeration.price_family(g, q, strict, math.inf, 1 << 40)
+                        except SizeLimitExceeded:
+                            continue
+                        accepted += 1
+                        assert enumeration._all_tables.__wrapped__(q, d).shape[1] == q ** d
+        assert accepted
 
     def test_brute_force_cross_check_tiny(self):
         # every 2-vertex loose family at q=2, by direct table product

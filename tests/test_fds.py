@@ -13,6 +13,7 @@ from fdsrank.errors import (
     ValueOutOfRange,
 )
 from fdsrank.fds import (
+    TABLE_CELL_CAP,
     digits,
     evaluate_trajectory,
     fixed_points,
@@ -82,6 +83,13 @@ class TestStateSerialization:
             assert x.shape == (q ** k, k) and x.dtype == np.int64
             assert [state_to_index(row, q) for row in x] == list(range(q ** k))
         assert digits(3, 0).shape == (1, 0)
+
+    def test_digit_matrix_is_priced_before_it_is_made(self):
+        # 10^10 rows: refused with the cell count, nothing allocated
+        with pytest.raises(SizeLimitExceeded) as err:
+            digits(10 ** 5, 2)
+        assert err.value.projected == 2 * 10 ** 10 > TABLE_CELL_CAP
+        assert digits(2, 16).shape == (2 ** 16, 16)
 
 
 class TestTrajectory:

@@ -36,3 +36,22 @@ def test_package_imports_sit_at_module_top():
                 if isinstance(node, ast.ImportFrom) and node.level > 0:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_linprog_is_called_only_from_ratlp():
+    # one LP entry point: exact callers go through the certificate there
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "ratlp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            if "linprog" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
