@@ -9,6 +9,7 @@ from .digraph import (
     girth,
     parse_digraph,
     read_digraph,
+    shortest_cycle,
     structure_stats,
     weak_components,
 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ratlp
 from .constructions import loopfull_maxfix
-from .digraph import Digraph, structure_stats
+from .digraph import Digraph, structure_stats, weak_components
 from .errors import InconsistentBounds, IntegrityError, SizeLimitExceeded
 from .fds import digits
 from .invariants import (
@@ -138,38 +138,33 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
         if u in core and v in core:
             nin_mask[pos[v]] |= 1 << pos[u]
 
-    parent = list(range(full + 1))
+    # h(N(i) + i) = h(N(i)) joins two masks into one variable. The classes are
+    # the weak components of a graph on the masks (mask m is vertex m + 1) with
+    # one arc per vertex; each class is keyed by its least mask.
+    root = [0] * (full + 1)
+    joins = Digraph(full + 1, ((nin_mask[i] + 1, (nin_mask[i] | 1 << i) + 1) for i in range(k)))
+    for comp in weak_components(joins):
+        for v in comp:
+            root[v - 1] = comp[0] - 1
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    const: dict[int, Fraction] = {root[0]: Fraction(0)}
     for i in range(k):
-        a, b = find(nin_mask[i]), find(nin_mask[i] | (1 << i))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    const: dict[int, Fraction] = {find(0): Fraction(0)}
-    for i in range(k):
-        root = find(1 << i)
-        if root in const and const[root] != 1:
+        r = root[1 << i]
+        if r in const and const[r] != 1:
             raise IntegrityError("pinned-value clash survived source peeling")
-        const[root] = Fraction(1)
+        const[r] = Fraction(1)
 
     var_index: dict[int, int] = {}
-    for mask in range(full + 1):
-        root = find(mask)
-        if root not in const and root not in var_index:
-            var_index[root] = len(var_index)
+    for r in root:
+        if r not in const and r not in var_index:
+            var_index[r] = len(var_index)
 
     def term(mask: int, coef: int, row: dict, folded: list) -> None:
-        root = find(mask)
-        if root in const:
-            folded[0] += coef * const[root]
+        r = root[mask]
+        if r in const:
+            folded[0] += coef * const[r]
         else:
-            j = var_index[root]
+            j = var_index[r]
             row[j] = row.get(j, 0) + coef
 
     rows, senses, rhs = [], [], []
@@ -210,7 +205,7 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
                     ]
                 )
 
-    full_root = find(full)
+    full_root = root[full]
     if full_root in const:
         return EntropyReport(const[full_root], True, tuple(sorted(peeled)), "pinned")
 

@@ -11,6 +11,7 @@ or more sinks cover each other, e.g. the complete looped triangle).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .digraph import Digraph, format_digraph, weak_components
@@ -41,7 +42,7 @@ class CanonicalGraph:
 
     def as_digraph(self) -> Digraph:
         n = len(self.sources) + len(self.sinks)
-        return Digraph(max(n, 1), self.arcs) if n else Digraph(1, [])
+        return Digraph(max(n, 1), self.arcs)
 
     def is_empty(self) -> bool:
         return not self.sources and not self.sinks
@@ -199,36 +200,21 @@ def chain_bound(c: CanonicalGraph) -> int:
 def product_bound(c: CanonicalGraph) -> int:
     """Least fixpoint of the increment / product / monotonicity raise rules.
 
-    Works per connected component of the conflict graph and multiplies, since
-    sinks in different components have disjoint in-neighborhoods.
+    Works per weak component and multiplies, since sinks in different
+    components have disjoint in-neighborhoods.
     """
-    if len(c.sinks) > PRODUCT_BOUND_SINK_CAP:
+    pieces = _pieces(c)
+    widest = max((len(p.sinks) for p in pieces), default=0)
+    if widest > PRODUCT_BOUND_SINK_CAP:
         raise SizeLimitExceeded(
-            f"product bound capped at {PRODUCT_BOUND_SINK_CAP} sinks",
-            projected=len(c.sinks),
+            f"product bound capped at {PRODUCT_BOUND_SINK_CAP} sinks per component",
+            projected=widest,
         )
-    adj = _conflict_adjacency(c)
-    nin_by_sink = dict(zip(c.sinks, _sink_masks(c)))
-    remaining = set(c.sinks)
-    total = 1
-    while remaining:
-        start = next(iter(remaining))
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        total *= _product_bound_component(sorted(comp), nin_by_sink)
-    return total
+    return math.prod(_product_bound_component(_sink_masks(p)) for p in pieces)
 
 
-def _product_bound_component(sinks: list[int], nin_by_sink) -> int:
-    k = len(sinks)
-    nin = [nin_by_sink[b] for b in sinks]
+def _product_bound_component(nin: list[int]) -> int:
+    k = len(nin)
     full = (1 << k) - 1
     union = [0] * (full + 1)
     for mask in range(1, full + 1):
@@ -375,51 +361,41 @@ def conjunctive_rank_of_canonical(c: CanonicalGraph) -> int:
 
     Sources output constant 1; each sink outputs the conjunction of its
     sources, so the rank is the number of distinct sink-indicator patterns,
-    multiplied over connected components.
+    multiplied over weak components.
     """
-    ins = c.sink_inputs()
-    comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(weak_components(c.as_digraph())):
-        for v in comp:
-            comp_of[v] = idx
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for a in c.sources:
-        groups.setdefault(comp_of[a], ([], []))[0].append(a)
-    for b in c.sinks:
-        groups.setdefault(comp_of[b], ([], []))[1].append(b)
     total = 1
-    for sources, sinks in groups.values():
-        patterns = set()
-        for bits in itertools.product((0, 1), repeat=len(sources)):
-            x = dict(zip(sources, bits))
-            patterns.add(tuple(all(x[a] for a in ins[b]) for b in sinks))
-        total *= len(patterns)
+    for p in _pieces(c):
+        masks = _sink_masks(p)
+        total *= len({tuple(m & ~x == 0 for m in masks) for x in range(1 << len(p.sources))})
     return total
 
 
 def absolute_minrank_bounds(d: Digraph) -> MinrankBounds:
     """Alphabet-free minimum-rank bracket with its stabilization alphabet.
 
-    The lower bound multiplies the product bound over the components of the
-    canonical graph; the upper bound multiplies per-component minima of the
-    conjunctive rank and the independent-set count. The minimum rank provably
-    stops decreasing at alphabet size (n+1)*m.
+    The lower bound is the product bound of the canonical graph; the upper
+    bound multiplies per-component minima of the conjunctive rank and the
+    independent-set count. The minimum rank provably stops decreasing at
+    alphabet size (n+1)*m.
     """
     c = canonicalize(d)
-    lower = 1
-    upper = 1
-    for comp in weak_components(c.as_digraph()):
-        if not any(v in c.provenance for v in comp):
-            continue
-        piece = _sub_canonical(c, set(comp))
-        lower *= product_bound(piece)
-        upper *= min(conjunctive_rank_of_canonical(piece), independent_set_bound(piece))
+    lower = product_bound(c)
+    upper = math.prod(
+        min(conjunctive_rank_of_canonical(p), independent_set_bound(p)) for p in _pieces(c)
+    )
     return MinrankBounds(
         lower=lower,
         upper=upper,
         stabilization_q=max(2, (d.n + 1) * d.m),
         exact=lower == upper,
     )
+
+
+def _pieces(c: CanonicalGraph) -> list[CanonicalGraph]:
+    """The weak components of ``c``, each renumbered; an empty graph has none."""
+    if c.is_empty():
+        return []
+    return [_sub_canonical(c, set(comp)) for comp in weak_components(c.as_digraph())]
 
 
 def _sub_canonical(c: CanonicalGraph, keep: set[int]) -> CanonicalGraph:

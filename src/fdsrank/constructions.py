@@ -105,39 +105,21 @@ def modular_complete(n: int, q: int) -> Fds:
     return make_fds(n, q, inputs, [-digits(q, n - 1).sum(1) % q] * n)
 
 
+def _copy_witness(d: Digraph, q: int, source_of: dict[int, int]) -> Fds:
+    """Each vertex in ``source_of`` copies its source; every other vertex is 0."""
+    inputs = [[source_of[v]] if v in source_of else [] for v in d.vertices()]
+    return make_fds(d.n, q, inputs, [np.arange(q) if i else [0] for i in inputs])
+
+
 def maxper_witness(d: Digraph, q: int) -> Fds:
     """Shift along a maximum disjoint-cycle cover; uncovered vertices die to 0."""
-    cycles = cycle_cover_certificate(d)
-    pred: dict[int, int] = {}
-    for cyc in cycles:
-        for i, v in enumerate(cyc):
-            pred[v] = cyc[i - 1]
-    inputs = []
-    tables = []
-    for v in d.vertices():
-        if v in pred:
-            inputs.append([pred[v]])
-            tables.append(np.arange(q, dtype=np.int64))
-        else:
-            inputs.append([])
-            tables.append(np.zeros(1, dtype=np.int64))
-    return make_fds(d.n, q, inputs, tables)
+    pred = {v: cyc[i - 1] for cyc in cycle_cover_certificate(d) for i, v in enumerate(cyc)}
+    return _copy_witness(d, q, pred)
 
 
 def maxrank_witness(d: Digraph, q: int) -> Fds:
     """Copy along a maximum independent arc family; other vertices go to 0."""
-    fam = independent_arc_certificate(d)
-    source_of = {v: u for u, v in fam}
-    inputs = []
-    tables = []
-    for v in d.vertices():
-        if v in source_of:
-            inputs.append([source_of[v]])
-            tables.append(np.arange(q, dtype=np.int64))
-        else:
-            inputs.append([])
-            tables.append(np.zeros(1, dtype=np.int64))
-    return make_fds(d.n, q, inputs, tables)
+    return _copy_witness(d, q, {v: u for u, v in independent_arc_certificate(d)})
 
 
 def packing_plus_one_witness(d: Digraph, packing) -> Fds:

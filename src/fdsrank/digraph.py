@@ -58,9 +58,6 @@ class Digraph:
             outs[u].add(v)
         return {v: frozenset(s) for v, s in outs.items()}
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def loops(self) -> frozenset[int]:
         return frozenset(u for u, v in self.arcs if u == v)
 
@@ -69,13 +66,6 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         return Digraph(self.n, ((v, u) for u, v in self.arcs))
-
-    def induced(self, keep: Iterable[int]) -> "Digraph":
-        """Subgraph induced on ``keep``, relabelled 1..k in ascending order."""
-        order = sorted(set(keep))
-        relab = {v: i + 1 for i, v in enumerate(order)}
-        arcs = [(relab[u], relab[v]) for u, v in self.arcs if u in relab and v in relab]
-        return Digraph(max(len(order), 1), arcs) if order else Digraph(1, [])
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -99,26 +89,44 @@ class StructureStats:
     sink_list: tuple[int, ...]
 
 
-def girth(d: Digraph) -> float:
-    """Length of the shortest directed cycle, or infinity if acyclic."""
-    if any(u == v for u, v in d.arcs):
-        return 1
-    outs = d.out_map()
-    best = math.inf
+def shortest_cycle(d: Digraph, removed: frozenset[int] = frozenset()) -> tuple[int, ...] | None:
+    """A shortest directed cycle avoiding ``removed``, or None if there is none.
+
+    One BFS runs from each vertex in turn. The cycle lists its vertices in
+    arc order, starting at the least vertex that lies on a shortest cycle.
+    """
+    outs = {v: [w for w in d.out_neighbors(v) if w not in removed] for v in d.vertices()}
+    for v in d.vertices():
+        if v in outs[v]:
+            return (v,)
+    best = None
     for s in d.vertices():
-        dist = {s: 0}
+        if s in removed:
+            continue
+        parent = {s: 0}
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            if dist[u] + 1 >= best:
-                continue
             for w in outs[u]:
                 if w == s:
-                    best = min(best, dist[u] + 1)
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
+                    # reconstruct s -> ... -> u
+                    rev = [u]
+                    while rev[-1] != s:
+                        rev.append(parent[rev[-1]])
+                    if best is None or len(rev) < len(best):
+                        best = tuple(reversed(rev))
+                elif w not in parent:
+                    parent[w] = u
                     queue.append(w)
+        if best is not None and len(best) == 2:
+            return best
     return best
+
+
+def girth(d: Digraph) -> float:
+    """Length of the shortest directed cycle, or infinity if acyclic."""
+    cycle = shortest_cycle(d)
+    return math.inf if cycle is None else len(cycle)
 
 
 def structure_stats(d: Digraph) -> StructureStats:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .canonical import canonicalize, product_bound
-from .constructions import conjunctive, extend_alphabet
+from .constructions import conjunctive_rank
 from .digraph import Digraph, fingerprint
 from .errors import IntegrityError, SizeLimitExceeded
 from .fds import (
@@ -33,7 +33,6 @@ from .fds import (
     digits,
     input_index,
 )
-from .fds import rank as fds_rank
 
 DEFAULT_MAX_FUNCS = 10 ** 8
 
@@ -252,10 +251,8 @@ def minrank_exact(
     # function-count guard; a sweep's cells bound the rows it holds
     _, n_states = price_family(d, q, True, math.inf, max_states)
 
-    witness = conjunctive(d)
-    while witness.q < q:
-        witness = extend_alphabet(witness)
-    incumbent = fds_rank(witness, max_states)
+    # the AND network, read over alphabet q, keeps its image and so its rank
+    incumbent = conjunctive_rank(d, max_states)
 
     global_lower = product_bound(canonicalize(d))
     if incumbent <= global_lower:

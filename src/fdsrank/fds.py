@@ -33,9 +33,6 @@ class Fds:
         self.tables = tables  # tuple of int64 arrays, little-endian indexed
         self._map = None
 
-    def state_count(self) -> int:
-        return self.q ** self.n
-
     def declared_graph(self) -> Digraph:
         return Digraph(self.n, {(u, v + 1) for v, ins in enumerate(self.inputs) for u in ins})
 

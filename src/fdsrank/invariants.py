@@ -7,13 +7,12 @@ configurable vertex cap and refuse, rather than approximate, beyond it.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from . import ratlp
-from .digraph import Digraph, is_primitive, is_strongly_connected
+from .digraph import Digraph, is_primitive, is_strongly_connected, shortest_cycle
 from .errors import IntegrityError, LoopsPresent, NotStronglyConnected, SizeLimitExceeded
 
 DEFAULT_EXACT_CAP = 24
@@ -31,7 +30,7 @@ def _check_cap(d: Digraph, exact_cap: int, what: str) -> None:
 
 # --- cycles ------------------------------------------------------------------
 
-def simple_cycles(d: Digraph, limit: int = MAX_ENUMERATED_CYCLES) -> list[tuple[int, ...]]:
+def simple_cycles(d: Digraph) -> list[tuple[int, ...]]:
     """All simple directed cycles as vertex tuples starting at their minimum vertex."""
     outs = {v: sorted(d.out_neighbors(v)) for v in d.vertices()}
     cycles: list[tuple[int, ...]] = []
@@ -40,9 +39,10 @@ def simple_cycles(d: Digraph, limit: int = MAX_ENUMERATED_CYCLES) -> list[tuple[
         for w in outs[path[-1]]:
             if w == start:
                 cycles.append(tuple(path))
-                if len(cycles) > limit:
+                if len(cycles) > MAX_ENUMERATED_CYCLES:
                     raise SizeLimitExceeded(
-                        f"more than {limit} simple cycles", projected=len(cycles)
+                        f"more than {MAX_ENUMERATED_CYCLES} simple cycles",
+                        projected=len(cycles),
                     )
             elif w > start and w not in onpath:
                 onpath.add(w)
@@ -56,36 +56,6 @@ def simple_cycles(d: Digraph, limit: int = MAX_ENUMERATED_CYCLES) -> list[tuple[
     return cycles
 
 
-def _shortest_cycle_avoiding(d: Digraph, removed: frozenset[int]) -> tuple[int, ...] | None:
-    outs = {v: [w for w in d.out_neighbors(v) if w not in removed] for v in d.vertices()}
-    for v in d.vertices():
-        if v not in removed and v in outs[v]:
-            return (v,)
-    best = None
-    for s in d.vertices():
-        if s in removed:
-            continue
-        parent = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in outs[u]:
-                if w == s:
-                    # reconstruct s -> ... -> u
-                    rev = [u]
-                    while rev[-1] != s:
-                        rev.append(parent[rev[-1]])
-                    cyc = tuple(reversed(rev))
-                    if best is None or len(cyc) < len(best):
-                        best = cyc
-                elif w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-        if best is not None and len(best) == 2:
-            return best
-    return best
-
-
 def transversal_number(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> int:
     """Minimum feedback vertex set size, by branch and bound on shortest cycles."""
     _check_cap(d, exact_cap, "transversal number")
@@ -95,7 +65,7 @@ def transversal_number(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> int:
         nonlocal best
         if k >= best:
             return
-        cyc = _shortest_cycle_avoiding(d, removed)
+        cyc = shortest_cycle(d, removed)
         if cyc is None:
             best = k
             return

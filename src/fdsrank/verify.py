@@ -39,6 +39,8 @@ from .fds import interaction_graph, nilpotency_class, periodic_rank, rank
 from .invariants import blowup, cycle_packing_number, max_cycle_cover, max_independent_arcs
 from . import fixtures as fx
 
+Q3_BUDGET = 2_000_000  # largest q=3 family the max-rank check sweeps
+
 
 @dataclass
 class CheckResult:
@@ -68,9 +70,8 @@ def all_digraphs(n: int) -> list[Digraph]:
 class VerifySuite:
     """Runs the battery; enumeration sweeps are cached across checks."""
 
-    def __init__(self, quick: bool = False, q3_budget: int = 2_000_000):
+    def __init__(self, quick: bool = False):
         self.quick = quick
-        self.q3_budget = q3_budget
         self._cache: dict = {}
         self._sweep: list[Digraph] | None = None
 
@@ -176,12 +177,12 @@ class VerifySuite:
             st = self.stats(d, 2, False)
             if st.rank.maximum != 2 ** a1 or st.periodic_rank.maximum != 2 ** an:
                 bad.append((fingerprint(d), 2, st.rank.maximum, st.periodic_rank.maximum))
-            if family_size(d, 3, False) <= self.q3_budget:
+            if family_size(d, 3, False) <= Q3_BUDGET:
                 st3 = self.stats(d, 3, False)
                 if st3.rank.maximum != 3 ** a1 or st3.periodic_rank.maximum != 3 ** an:
                     bad.append((fingerprint(d), 3, st3.rank.maximum, st3.periodic_rank.maximum))
                 checked_q3 += 1
-            if family_size(d, 3, True) <= self.q3_budget:
+            if family_size(d, 3, True) <= Q3_BUDGET:
                 st3s = self.stats(d, 3, True)
                 if st3s.rank.maximum != 3 ** a1 or st3s.periodic_rank.maximum != 3 ** an:
                     bad.append((fingerprint(d), "3 strict", st3s.rank.maximum,

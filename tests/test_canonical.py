@@ -2,8 +2,12 @@ import itertools
 import random
 
 import oracles
+import pytest
+
 from fdsrank import fixtures as fx
 from fdsrank.canonical import (
+    CanonicalGraph,
+    _pieces,
     absolute_minrank_bounds,
     canonical_isomorphic,
     canonicalize,
@@ -18,6 +22,7 @@ from fdsrank.canonical import (
 )
 from fdsrank.digraph import Digraph, parse_digraph
 from fdsrank.enumeration import enumerate_stats, minrank_exact
+from fdsrank.errors import SizeLimitExceeded
 
 
 def sink_inputs_by_original(c):
@@ -160,6 +165,70 @@ class TestBoundChain:
         c = canonicalize(d)
         assert conjunctive_rank_of_canonical(c) == 4
         assert independent_set_bound(c) == 3
+
+
+def random_canonical(rng, max_side=3):
+    a, b = rng.randint(0, max_side), rng.randint(0, max_side)
+    arcs = [(s, a + t) for s in range(1, a + 1) for t in range(1, b + 1) if rng.random() < 0.5]
+    return CanonicalGraph(
+        sources=tuple(range(1, a + 1)),
+        sinks=tuple(range(a + 1, a + b + 1)),
+        arcs=frozenset(arcs),
+        provenance={v: (v, int(v > a)) for v in range(1, a + b + 1)},
+    )
+
+
+def disjoint_union(c1, c2):
+    """Sources of c1, sources of c2, sinks of c1, sinks of c2, renumbered from 1."""
+    order = [(1, v) for v in c1.sources] + [(2, v) for v in c2.sources]
+    n_sources = len(order)
+    order += [(1, v) for v in c1.sinks] + [(2, v) for v in c2.sinks]
+    new = {key: i for i, key in enumerate(order, start=1)}
+    return CanonicalGraph(
+        sources=tuple(range(1, n_sources + 1)),
+        sinks=tuple(range(n_sources + 1, len(order) + 1)),
+        arcs=frozenset(
+            (new[k, u], new[k, v]) for k, c in ((1, c1), (2, c2)) for u, v in c.arcs
+        ),
+        provenance={i: (i, int(i > n_sources)) for i in new.values()},
+    )
+
+
+class TestComponents:
+    """The bounds multiply over weak components, which ``_pieces`` splits off."""
+
+    def test_bounds_of_a_disjoint_union_are_products(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            c1, c2 = random_canonical(rng), random_canonical(rng)
+            union = disjoint_union(c1, c2)
+            for fn in (product_bound, independent_set_bound, conjunctive_rank_of_canonical):
+                assert fn(union) == fn(c1) * fn(c2), (fn.__name__, c1.arcs, c2.arcs)
+
+    def test_empty_canonical_graph_has_no_pieces(self):
+        c = canonicalize(fx.E3)
+        assert c.is_empty() and _pieces(c) == []
+        assert product_bound(c) == conjunctive_rank_of_canonical(c) == 1
+
+    def test_product_bound_cap_is_per_component(self):
+        arcs21 = Digraph(42, [(2 * i + 1, 2 * i + 2) for i in range(21)])
+        assert product_bound(canonicalize(arcs21)) == 2 ** 21
+        assert absolute_minrank_bounds(arcs21).lower == 2 ** 21
+        # sink i reads sources i and i + 1: one component with 21 sinks
+        chain = Digraph(43, [(i + s, 22 + i) for i in range(1, 22) for s in (0, 1)])
+        with pytest.raises(SizeLimitExceeded) as err:
+            product_bound(canonicalize(chain))
+        assert err.value.projected == 21
+
+    def test_pieces_partition_the_graph(self):
+        rng = random.Random(72)
+        for _ in range(100):
+            c = disjoint_union(random_canonical(rng), random_canonical(rng))
+            pieces = _pieces(c)
+            assert sum(len(p.sources) for p in pieces) == len(c.sources)
+            assert sum(len(p.sinks) for p in pieces) == len(c.sinks)
+            assert sum(len(p.arcs) for p in pieces) == len(c.arcs)
+            assert all(not p.is_empty() for p in pieces)
 
 
 class TestTightness:

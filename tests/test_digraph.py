@@ -1,6 +1,10 @@
+import itertools
 import math
+import random
 
+import oracles
 import pytest
+from conftest import small_digraphs
 
 from fdsrank import fixtures as fx
 from fdsrank.digraph import (
@@ -11,6 +15,7 @@ from fdsrank.digraph import (
     is_primitive,
     is_strongly_connected,
     parse_digraph,
+    shortest_cycle,
     structure_stats,
     weak_components,
 )
@@ -48,6 +53,38 @@ def test_girth_two_cycle_with_longer():
 def test_acyclic_iff_infinite_girth():
     st = structure_stats(fx.P1)
     assert st.acyclic and math.isinf(st.girth)
+
+
+def _check_shortest_cycle(d, cycles, removed):
+    lengths = [len(c) for c in cycles if not set(c) & removed]
+    got = shortest_cycle(d, removed)
+    if not lengths:
+        assert got is None, (d, removed)
+        return
+    k = len(got)
+    assert k == min(lengths) and len(set(got)) == k, (d, removed, got)
+    assert not set(got) & removed, (d, removed, got)
+    assert all((got[i], got[(i + 1) % k]) in d.arcs for i in range(k)), (d, got)
+
+
+def test_shortest_cycle_and_girth_against_brute_force():
+    # every digraph on 1..3 vertices with every removed set, then seeded
+    # random 4..6 vertex digraphs (loops rare, so long cycles occur) with
+    # every removed set of at most two vertices
+    graphs = [(d, d.n) for n in (1, 2, 3) for d in small_digraphs(n)]
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(4, 6)
+        p = rng.choice((0.15, 0.25, 0.4))
+        pairs = itertools.product(range(1, n + 1), repeat=2)
+        d = Digraph(n, [(u, v) for u, v in pairs if rng.random() < (p if u != v else 0.1)])
+        graphs.append((d, 2))
+    for d, most in graphs:
+        cycles = oracles.brute_simple_cycles(d)
+        assert girth(d) == min((len(c) for c in cycles), default=math.inf), d
+        for k in range(most + 1):
+            for removed in itertools.combinations(d.vertices(), k):
+                _check_shortest_cycle(d, cycles, frozenset(removed))
 
 
 def test_arc_validation():

@@ -55,3 +55,18 @@ def test_linprog_is_called_only_from_ratlp():
             if "linprog" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_weak_components_is_the_only_union_find():
+    # one union-find: a nested ``find`` outside digraph.py is a second copy
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "digraph.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if node is not fn and isinstance(node, ast.FunctionDef) and node.name == "find":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
