@@ -97,7 +97,6 @@ from .enumeration import (
 from .bounds import (
     BoundsReport,
     EntropyReport,
-    entropy_H,
     entropy_report,
     fix_bounds_report,
     max_code_size,

@@ -106,7 +106,7 @@ class EntropyReport:
 
 
 @lru_cache(maxsize=1024)
-def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyReport:
+def entropy_report(d: Digraph) -> EntropyReport:
     """Optimal value of the shared-entropy program bounding log_q of max fixed points.
 
     Vertices with no in-arcs force their coordinate in every fixed point, so
@@ -213,9 +213,8 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
     c = [0] * nvar
     c[var_index[full_root]] = 1
 
-    if k <= exact_cap:
+    if k <= ENTROPY_EXACT_CAP:
         # solve the dual so the tableau keeps one row per variable
-        m = len(rows)
         dual_rows = [dict() for _ in range(nvar)]
         for i, row in enumerate(rows):
             for j, a in row.items():
@@ -228,11 +227,6 @@ def entropy_report(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP) -> EntropyRep
     if res.status != ratlp.OPTIMAL:
         raise IntegrityError(f"entropy program came back {res.status}")
     return EntropyReport(float(res.value), False, tuple(sorted(peeled)), "float")
-
-
-def entropy_H(d: Digraph, exact_cap: int = ENTROPY_EXACT_CAP):
-    """Scalar exponent from :func:`entropy_report`."""
-    return entropy_report(d, exact_cap).value
 
 
 def _floor_power(q: int, exponent) -> int:

@@ -170,13 +170,28 @@ def _sink_masks(c: CanonicalGraph) -> list[int]:
     return [sum(1 << src_pos[a] for a in ins[b]) for b in c.sinks]
 
 
-def chain_bound(c: CanonicalGraph) -> int:
-    """Longest sink sequence where each adds an unseen source, plus one."""
-    if len(c.sinks) > PRODUCT_BOUND_SINK_CAP:
+def _capped_pieces(c: CanonicalGraph, what: str) -> list[CanonicalGraph]:
+    """The pieces of ``c``, refused when one has more sinks than the cap."""
+    pieces = _pieces(c)
+    widest = max((len(p.sinks) for p in pieces), default=0)
+    if widest > PRODUCT_BOUND_SINK_CAP:
         raise SizeLimitExceeded(
-            f"chain bound capped at {PRODUCT_BOUND_SINK_CAP} sinks", projected=len(c.sinks)
+            f"{what} capped at {PRODUCT_BOUND_SINK_CAP} sinks per component",
+            projected=widest,
         )
-    nin = _sink_masks(c)
+    return pieces
+
+
+def chain_bound(c: CanonicalGraph) -> int:
+    """Longest sink sequence where each adds an unseen source, plus one.
+
+    Sinks in different weak components share no source, so the longest
+    sequences of the components add up.
+    """
+    return 1 + sum(_chain_length(_sink_masks(p)) for p in _capped_pieces(c, "chain bound"))
+
+
+def _chain_length(nin: list[int]) -> int:
     k = len(nin)
     best = 0
     valid = [False] * (1 << k)
@@ -194,7 +209,7 @@ def chain_bound(c: CanonicalGraph) -> int:
                 valid[mask] = True
                 best = max(best, bin(mask).count("1"))
                 break
-    return best + 1
+    return best
 
 
 def product_bound(c: CanonicalGraph) -> int:
@@ -203,51 +218,41 @@ def product_bound(c: CanonicalGraph) -> int:
     Works per weak component and multiplies, since sinks in different
     components have disjoint in-neighborhoods.
     """
-    pieces = _pieces(c)
-    widest = max((len(p.sinks) for p in pieces), default=0)
-    if widest > PRODUCT_BOUND_SINK_CAP:
-        raise SizeLimitExceeded(
-            f"product bound capped at {PRODUCT_BOUND_SINK_CAP} sinks per component",
-            projected=widest,
-        )
+    pieces = _capped_pieces(c, "product bound")
     return math.prod(_product_bound_component(_sink_masks(p)) for p in pieces)
 
 
 def _product_bound_component(nin: list[int]) -> int:
+    # every rule raises r[mask] from strict submasks, which come earlier in
+    # increasing mask order, so one pass reaches the fixpoint
     k = len(nin)
     full = (1 << k) - 1
     union = [0] * (full + 1)
+    r = [1] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
         union[mask] = union[mask ^ low] | nin[low.bit_length() - 1]
-    r = [1] * (full + 1)
-    changed = True
-    while changed:
-        changed = False
-        for mask in range(1, full + 1):
-            best = r[mask]
-            m = mask
-            while m:
-                bit = m & -m
-                m ^= bit
-                prev = mask ^ bit
-                cand = r[prev]
-                if nin[bit.bit_length() - 1] & ~union[prev]:
-                    cand += 1
+        best = 1
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            prev = mask ^ bit
+            cand = r[prev]
+            if nin[bit.bit_length() - 1] & ~union[prev]:
+                cand += 1
+            if cand > best:
+                best = cand
+        # products over splits with disjoint source sets
+        sub = (mask - 1) & mask
+        while sub > mask ^ sub:  # each unordered split once
+            rest = mask ^ sub
+            if union[sub] & union[rest] == 0:
+                cand = r[sub] * r[rest]
                 if cand > best:
                     best = cand
-            # products over splits with disjoint source sets
-            sub = (mask - 1) & mask
-            while sub > mask ^ sub:  # each unordered split once
-                rest = mask ^ sub
-                if union[sub] & union[rest] == 0:
-                    cand = r[sub] * r[rest]
-                    if cand > best:
-                        best = cand
-                sub = (sub - 1) & mask
-            if best > r[mask]:
-                r[mask] = best
-                changed = True
+            sub = (sub - 1) & mask
+        r[mask] = best
     return r[full]
 
 

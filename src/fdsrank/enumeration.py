@@ -306,12 +306,12 @@ class UnivariateBaseline:
     rank_histogram: dict[int, int]
 
 
-def univariate_baseline(q: int, max_funcs: int | None = None) -> UnivariateBaseline:
+def univariate_baseline(q: int) -> UnivariateBaseline:
     """Average rank over all q^q self-maps, closed form next to brute force.
 
     The q^q self-maps are the loose family of one looped vertex.
     """
-    report = enumerate_stats(Digraph(1, [(1, 1)]), q, max_funcs=max_funcs)
+    report = enumerate_stats(Digraph(1, [(1, 1)]), q)
     enumerated = report.rank.average
     closed = (1 - Fraction(q - 1, q) ** q) * q
     if closed != enumerated:

@@ -1,8 +1,8 @@
 """Exact and fractional graph invariants consumed by the bound machinery.
 
 Everything here is exact. The NP-hard invariants (feedback vertex set,
-cycle packing, clique partition) run branch-and-bound searches guarded by a
-configurable vertex cap and refuse, rather than approximate, beyond it.
+cycle packing, clique partition) run branch-and-bound searches guarded by
+``EXACT_VERTEX_CAP`` and refuse, rather than approximate, beyond it.
 """
 
 from __future__ import annotations
@@ -15,15 +15,15 @@ from . import ratlp
 from .digraph import Digraph, is_primitive, is_strongly_connected, shortest_cycle
 from .errors import IntegrityError, LoopsPresent, NotStronglyConnected, SizeLimitExceeded
 
-DEFAULT_EXACT_CAP = 24
+EXACT_VERTEX_CAP = 24
 MAX_ENUMERATED_CYCLES = 100_000
 EXACT_LP_COLUMN_CAP = 10_000
 
 
-def _check_cap(d: Digraph, exact_cap: int, what: str) -> None:
-    if d.n > exact_cap:
+def _check_cap(d: Digraph, what: str) -> None:
+    if d.n > EXACT_VERTEX_CAP:
         raise SizeLimitExceeded(
-            f"{what} is exact-only and capped at {exact_cap} vertices; graph has {d.n}",
+            f"{what} is exact-only and capped at {EXACT_VERTEX_CAP} vertices; graph has {d.n}",
             projected=d.n,
         )
 
@@ -56,9 +56,9 @@ def simple_cycles(d: Digraph) -> list[tuple[int, ...]]:
     return cycles
 
 
-def transversal_number(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> int:
+def transversal_number(d: Digraph) -> int:
     """Minimum feedback vertex set size, by branch and bound on shortest cycles."""
-    _check_cap(d, exact_cap, "transversal number")
+    _check_cap(d, "transversal number")
     best = d.n
 
     def solve(removed: frozenset[int], k: int) -> None:
@@ -86,9 +86,9 @@ def _minimal_cycle_masks(d: Digraph) -> list[int]:
     return out
 
 
-def cycle_packing_number(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> int:
+def cycle_packing_number(d: Digraph) -> int:
     """Maximum number of pairwise vertex-disjoint cycles, exact."""
-    _check_cap(d, exact_cap, "cycle packing number")
+    _check_cap(d, "cycle packing number")
     cands = _minimal_cycle_masks(d)
     if not cands:
         return 0
@@ -113,23 +113,21 @@ def cycle_packing_number(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> int:
     return best
 
 
-def fractional_cycle_packing(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP):
-    """LP relaxation of cycle packing; exact Fraction up to the column cap."""
-    _check_cap(d, exact_cap, "fractional cycle packing")
+def fractional_cycle_packing(d: Digraph):
+    """LP relaxation of cycle packing as an exact Fraction, refused past the column cap."""
+    _check_cap(d, "fractional cycle packing")
     masks = sorted({sum(1 << (v - 1) for v in cyc) for cyc in simple_cycles(d)})
     if not masks:
         return Fraction(0)
-    rows, senses, rhs = [], [], []
-    for v in d.vertices():
-        bit = 1 << (v - 1)
-        row = {j: 1 for j, m in enumerate(masks) if m & bit}
-        if row:
-            rows.append(row)
-            senses.append("<=")
-            rhs.append(1)
-    c = [1] * len(masks)
-    solver = ratlp.solve_exact if len(masks) <= EXACT_LP_COLUMN_CAP else ratlp.solve_float
-    res = solver(c, rows, senses, rhs, maximize=True)
+    if len(masks) > EXACT_LP_COLUMN_CAP:
+        raise SizeLimitExceeded(
+            f"fractional packing capped at {EXACT_LP_COLUMN_CAP} cycle columns",
+            projected=len(masks),
+        )
+    per_vertex = ({j: 1 for j, m in enumerate(masks) if m >> (v - 1) & 1} for v in d.vertices())
+    rows = [row for row in per_vertex if row]
+    res = ratlp.solve_exact([1] * len(masks), rows, ["<="] * len(rows), [1] * len(rows),
+                            maximize=True)
     if res.status != ratlp.OPTIMAL:
         raise IntegrityError(f"fractional packing program came back {res.status}")
     return res.value
@@ -180,9 +178,9 @@ def maximal_cliques(d: Digraph) -> list[int]:
     return sorted(out)
 
 
-def clique_partition_number(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> int:
+def clique_partition_number(d: Digraph) -> int:
     """Minimum number of cliques partitioning V; a clique needs both arcs per pair."""
-    _check_cap(d, exact_cap, "clique partition number")
+    _check_cap(d, "clique partition number")
     adj = _symmetric_adjacency(d)
     # partition into cliques == proper coloring of the complement graph
     full = (1 << d.n) - 1
@@ -217,20 +215,13 @@ def clique_partition_number(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> i
     return best
 
 
-def fractional_clique_cover(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP):
-    """LP relaxation of clique cover over maximal cliques; exact up to the cap."""
-    _check_cap(d, exact_cap, "fractional clique cover")
+def fractional_clique_cover(d: Digraph):
+    """LP relaxation of clique cover over maximal cliques, as an exact Fraction."""
+    _check_cap(d, "fractional clique cover")
     cliques = maximal_cliques(d)
-    rows, senses, rhs = [], [], []
-    for v in d.vertices():
-        bit = 1 << (v - 1)
-        row = {j: 1 for j, m in enumerate(cliques) if m & bit}
-        rows.append(row)
-        senses.append(">=")
-        rhs.append(1)
-    c = [1] * len(cliques)
-    solver = ratlp.solve_exact if len(cliques) <= EXACT_LP_COLUMN_CAP else ratlp.solve_float
-    res = solver(c, rows, senses, rhs, maximize=False)
+    rows = [{j: 1 for j, m in enumerate(cliques) if m >> (v - 1) & 1} for v in d.vertices()]
+    # at most 3^(n/3) maximal cliques (Moon & Moser 1965): 6561 under the vertex cap
+    res = ratlp.solve_exact([1] * len(cliques), rows, [">="] * d.n, [1] * d.n, maximize=False)
     if res.status != ratlp.OPTIMAL:
         raise IntegrityError(f"fractional clique cover program came back {res.status}")
     return res.value
@@ -362,7 +353,7 @@ def blowup(d: Digraph, k: int) -> Digraph:
     return Digraph(d.n * k, arcs)
 
 
-def in_dominating_profile(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> tuple[int, ...]:
+def in_dominating_profile(d: Digraph) -> tuple[int, ...]:
     """Counts I_0..I_n of in-dominating sets by size, for loopless graphs.
 
     X is in-dominating when every vertex of positive in-degree is in X or has
@@ -370,7 +361,7 @@ def in_dominating_profile(d: Digraph, exact_cap: int = DEFAULT_EXACT_CAP) -> tup
     """
     if not d.is_loopless():
         raise LoopsPresent("in-dominating profile requires a loopless graph")
-    _check_cap(d, exact_cap, "in-dominating profile")
+    _check_cap(d, "in-dominating profile")
     ins = d.in_map()
     needs = []
     for v in d.vertices():

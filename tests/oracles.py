@@ -152,6 +152,40 @@ def brute_chain_bound(sink_inputs: dict) -> int:
     return best + 1
 
 
+def brute_product_bound(sink_inputs: dict) -> int:
+    """The increment, product and monotonicity rules raised to a fixpoint.
+
+    Every sink set starts at 1 and the rules are applied until none raises a
+    value, sweeping the largest sets first so that one pass is not enough.
+    """
+    sinks = sorted(sink_inputs)
+    subsets = [
+        frozenset(s) for k in range(len(sinks), -1, -1) for s in itertools.combinations(sinks, k)
+    ]
+
+    def sources(s):
+        return frozenset().union(*(sink_inputs[b] for b in s))
+
+    r = {s: 1 for s in subsets}
+    changed = True
+    while changed:
+        changed = False
+        for s in subsets:
+            cands = [r[s]]
+            for b in s:
+                rest = s - {b}
+                cands.append(r[rest] + (not sink_inputs[b] <= sources(rest)))
+            for k in range(1, len(s)):
+                for part in itertools.combinations(sorted(s), k):
+                    t = frozenset(part)
+                    if not sources(t) & sources(s - t):
+                        cands.append(r[t] * r[s - t])
+            if max(cands) > r[s]:
+                r[s] = max(cands)
+                changed = True
+    return r[frozenset(sinks)]
+
+
 def brute_in_dominating_profile(d) -> tuple[int, ...]:
     ins = d.in_map()
     needy = [v for v in d.vertices() if ins[v]]

@@ -7,10 +7,9 @@ import pytest
 import oracles
 from conftest import small_digraphs
 from fdsrank import fixtures as fx
-from fdsrank import ratlp
+from fdsrank import bounds, ratlp
 from fdsrank.bounds import (
     _floor_power,
-    entropy_H,
     entropy_report,
     fix_bounds_report,
     max_code_size,
@@ -60,7 +59,7 @@ class TestEntropy:
         assert not rep.degenerate
 
     def test_directed_triangle(self):
-        assert entropy_H(fx.C3) == 1
+        assert entropy_report(fx.C3).value == 1
 
     def test_sources_peel_to_zero(self):
         rep = entropy_report(fx.E3)
@@ -74,7 +73,7 @@ class TestEntropy:
         assert set(rep.peeled) == {2, 3}
 
     def test_triangle_with_loops(self):
-        assert entropy_H(fx.add_loops(fx.K3)) == 3
+        assert entropy_report(fx.add_loops(fx.K3)).value == 3
 
     def test_never_exceeds_feedback_on_fixtures(self):
         for name, d in fx.CATALOG.items():
@@ -103,11 +102,16 @@ class TestEntropy:
         for d in fx.CATALOG.values():
             assert entropy_report(d).exact
 
-    def test_float_path_matches_exact(self):
+    def test_float_path_matches_exact(self, monkeypatch):
         for d in (fx.C5_SYM, fx.C3, fx.K3):
-            exact = entropy_report(d, exact_cap=12).value
-            approx = entropy_report(d, exact_cap=0).value
-            assert abs(float(exact) - float(approx)) < 1e-6
+            exact = entropy_report(d).value
+            # the cap is read on each solve: a cached report would hide it
+            entropy_report.cache_clear()
+            monkeypatch.setattr(bounds, "ENTROPY_EXACT_CAP", 0)
+            approx = entropy_report(d)
+            monkeypatch.undo()
+            assert abs(float(exact) - float(approx.value)) < 1e-6
+            assert not approx.exact and approx.method == "float"
 
 
 class TestFloorPower:

@@ -3,6 +3,7 @@ import random
 
 import oracles
 import pytest
+from conftest import small_digraphs
 
 from fdsrank import fixtures as fx
 from fdsrank.canonical import (
@@ -130,6 +131,12 @@ class TestSinkBounds:
             )
             assert chain_bound(c) == oracles.brute_chain_bound(dict(ins))
 
+    def test_product_bound_matches_fixpoint_oracle(self):
+        for n in (1, 2, 3):
+            for d in small_digraphs(n):
+                c = canonicalize(d)
+                assert product_bound(c) == oracles.brute_product_bound(c.sink_inputs()), d
+
 
 class TestBoundChain:
     """chain <= product <= enumerated strict min rank <= both upper bounds.
@@ -204,6 +211,8 @@ class TestComponents:
             union = disjoint_union(c1, c2)
             for fn in (product_bound, independent_set_bound, conjunctive_rank_of_canonical):
                 assert fn(union) == fn(c1) * fn(c2), (fn.__name__, c1.arcs, c2.arcs)
+            # a chain runs through the components one after another
+            assert chain_bound(union) - 1 == chain_bound(c1) - 1 + chain_bound(c2) - 1
 
     def test_empty_canonical_graph_has_no_pieces(self):
         c = canonicalize(fx.E3)
@@ -213,12 +222,14 @@ class TestComponents:
     def test_product_bound_cap_is_per_component(self):
         arcs21 = Digraph(42, [(2 * i + 1, 2 * i + 2) for i in range(21)])
         assert product_bound(canonicalize(arcs21)) == 2 ** 21
+        assert chain_bound(canonicalize(arcs21)) == 22
         assert absolute_minrank_bounds(arcs21).lower == 2 ** 21
         # sink i reads sources i and i + 1: one component with 21 sinks
         chain = Digraph(43, [(i + s, 22 + i) for i in range(1, 22) for s in (0, 1)])
-        with pytest.raises(SizeLimitExceeded) as err:
-            product_bound(canonicalize(chain))
-        assert err.value.projected == 21
+        for bound in (product_bound, chain_bound):
+            with pytest.raises(SizeLimitExceeded) as err:
+                bound(canonicalize(chain))
+            assert err.value.projected == 21
 
     def test_pieces_partition_the_graph(self):
         rng = random.Random(72)

@@ -5,7 +5,7 @@ import pytest
 from fdsrank import fixtures as fx
 from fdsrank import kernels, ratlp
 from fdsrank.cli import main
-from fdsrank.digraph import format_digraph
+from fdsrank.digraph import Digraph, format_digraph
 from fdsrank.fds import parse_fds
 
 
@@ -55,6 +55,15 @@ class TestAnalyze:
         assert rc == 0
         assert doc["minrank"]["classification"] == "one"
         assert doc["enumeration"]["rank"]["max"] == 1
+
+    def test_sink_cap_is_per_component(self, capsys, tmp_path):
+        # 21 sinks in all, one per component: under the 20-sink cap of each
+        path = tmp_path / "arcs21.graph"
+        path.write_text(format_digraph(Digraph(42, [(2 * i + 1, 2 * i + 2) for i in range(21)])))
+        rc, doc = run_json(capsys, ["analyze", str(path), "--q", "2"])
+        assert rc == 0
+        assert doc["canonical"]["status"] == "ok"
+        assert doc["canonical"]["L"] == 22 and doc["canonical"]["Lp"] == 2 ** 21
 
     def test_sections_marked_skipped_not_absent(self, capsys, star3_file):
         rc, doc = run_json(

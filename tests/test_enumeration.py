@@ -196,9 +196,10 @@ class TestUnivariate:
         for q in (2, 3, 4):
             assert univariate_baseline(q).fixed_point_free_count == (q - 1) ** q
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("FDSRANK_MAX_FUNCS", "10")
         with pytest.raises(SizeLimitExceeded) as err:
-            univariate_baseline(4, max_funcs=10)
+            univariate_baseline(4)
         assert err.value.projected == 4 ** 4
 
     def test_wrong_enumerated_average_is_an_integrity_error(self, monkeypatch):

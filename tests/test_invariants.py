@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from fdsrank import fixtures as fx
+from fdsrank import invariants
 from fdsrank.digraph import Digraph
 from fdsrank.errors import LoopsPresent, NotStronglyConnected, SizeLimitExceeded
 from fdsrank.invariants import (
@@ -52,7 +53,7 @@ class TestTransversal:
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
-            transversal_number(Digraph(30, []), exact_cap=24)
+            transversal_number(Digraph(30, []))
 
     @given(digraphs())
     @settings(max_examples=60, deadline=None)
@@ -117,6 +118,13 @@ class TestFractional:
 
     def test_cover_empty(self):
         assert fractional_clique_cover(fx.E3) == 3
+
+    def test_packing_refuses_past_the_column_cap(self, monkeypatch):
+        # the triangle's cycles cover four vertex sets: 12, 13, 23 and 123
+        monkeypatch.setattr(invariants, "EXACT_LP_COLUMN_CAP", 2)
+        with pytest.raises(SizeLimitExceeded) as err:
+            fractional_cycle_packing(fx.K3)
+        assert err.value.projected == 4
 
     @given(digraphs(max_n=3))
     @settings(max_examples=30, deadline=None)

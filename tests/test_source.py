@@ -70,3 +70,32 @@ def test_weak_components_is_the_only_union_find():
                 if node is not fn and isinstance(node, ast.FunctionDef) and node.name == "find":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_float_lp_is_named_only_in_ratlp_and_bounds():
+    # the invariants solve exactly or refuse; only the entropy program above
+    # its exact cap still takes the float answer
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in ("ratlp.py", "bounds.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                name = getattr(node, "id", None)
+            if name == "solve_float":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_function_takes_an_exact_cap():
+    # exact-size caps are module constants checked in one place, not knobs
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arg) and node.arg == "exact_cap":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
