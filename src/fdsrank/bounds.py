@@ -2,7 +2,9 @@
 
 ``fix_bounds_report`` assembles every applicable bound for a graph and
 alphabet into one consistency-checked record. Constituents that exceed their
-guards are omitted and recorded as skipped, never approximated.
+guards are omitted and recorded as skipped, never approximated. The entropy
+exponent is an exact ``Fraction`` from a certified solve of the program's
+dual, refused past ``ENTROPY_VERTEX_CAP`` core vertices.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .invariants import (
 )
 
 CODE_STATE_CAP = 1 << 14
-ENTROPY_VERTEX_CAP = 12
-ENTROPY_EXACT_CAP = 8
-FLOAT_REPORT_TOL = 1e-6
+# the dual certifies every 9-vertex program tried in about 4 s and fails on
+# 10-vertex cycles after half a minute (measured table in CHANGES.md)
+ENTROPY_VERTEX_CAP = 9
 
 
 # --- maximum code size ----------------------------------------------------------
@@ -77,6 +79,10 @@ def max_code_size(n: int, q: int, d) -> int:
         return 1
     if d <= 1:
         return q ** n
+    if d == 2:
+        # Singleton's bound q^(n-1), met by the words whose digits sum to 0
+        # mod q; the clique search would recurse once per codeword
+        return q ** (n - 1)
     total = q ** n
     if total > CODE_STATE_CAP:
         raise SizeLimitExceeded(
@@ -95,8 +101,7 @@ def max_code_size(n: int, q: int, d) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EntropyReport:
-    value: object  # Fraction on the exact path, float otherwise
-    exact: bool
+    value: Fraction
     peeled: tuple[int, ...]  # iteratively removed in-degree-0 vertices
     method: str
 
@@ -111,7 +116,9 @@ def entropy_report(d: Digraph) -> EntropyReport:
 
     Vertices with no in-arcs force their coordinate in every fixed point, so
     the program is posed on the iteratively source-peeled core; a fully
-    peeled graph reports exponent 0.
+    peeled graph reports exponent 0. The value is an exact ``Fraction``; a
+    core over ``ENTROPY_VERTEX_CAP`` vertices, or a program whose certificate
+    fails and whose tableau is too large, raises ``SizeLimitExceeded``.
     """
     core = set(d.vertices())
     peeled: list[int] = []
@@ -122,7 +129,7 @@ def entropy_report(d: Digraph) -> EntropyReport:
         core -= set(srcs)
         peeled.extend(srcs)
     if not core:
-        return EntropyReport(Fraction(0), True, tuple(sorted(peeled)), "peeled-empty")
+        return EntropyReport(Fraction(0), tuple(sorted(peeled)), "peeled-empty")
     if len(core) > ENTROPY_VERTEX_CAP:
         raise SizeLimitExceeded(
             f"entropy program capped at {ENTROPY_VERTEX_CAP} core vertices",
@@ -167,7 +174,7 @@ def entropy_report(d: Digraph) -> EntropyReport:
             j = var_index[r]
             row[j] = row.get(j, 0) + coef
 
-    rows, senses, rhs = [], [], []
+    rows, rhs = [], []
 
     def add_le(terms) -> None:
         # sum coef*h(mask) <= 0 after folding constants
@@ -181,7 +188,6 @@ def entropy_report(d: Digraph) -> EntropyReport:
                 raise IntegrityError("constant constraint violated in entropy program")
             return
         rows.append(row)
-        senses.append("<=")
         rhs.append(-folded[0])
 
     # Shannon's cone is cut out by its elemental inequalities (Yeung, IEEE
@@ -207,47 +213,41 @@ def entropy_report(d: Digraph) -> EntropyReport:
 
     full_root = root[full]
     if full_root in const:
-        return EntropyReport(const[full_root], True, tuple(sorted(peeled)), "pinned")
+        return EntropyReport(const[full_root], tuple(sorted(peeled)), "pinned")
 
     nvar = len(var_index)
     c = [0] * nvar
     c[var_index[full_root]] = 1
 
-    if k <= ENTROPY_EXACT_CAP:
-        # solve the dual so the tableau keeps one row per variable
-        dual_rows = [dict() for _ in range(nvar)]
-        for i, row in enumerate(rows):
-            for j, a in row.items():
-                dual_rows[j][i] = a
-        res = ratlp.solve_exact(rhs, dual_rows, [">="] * nvar, c, maximize=False)
-        if res.status != ratlp.OPTIMAL:
-            raise IntegrityError(f"entropy dual came back {res.status}")
-        return EntropyReport(Fraction(res.value), True, tuple(sorted(peeled)), "exact-dual")
-    res = ratlp.solve_float(c, rows, senses, rhs, maximize=True)
+    # HiGHS gets the dual: at 9 vertices its certificate holds where the
+    # primal's fails on cycles
+    dual_rows = [dict() for _ in range(nvar)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            dual_rows[j][i] = a
+    res = ratlp.solve_exact(rhs, dual_rows, [">="] * nvar, c, maximize=False)
     if res.status != ratlp.OPTIMAL:
-        raise IntegrityError(f"entropy program came back {res.status}")
-    return EntropyReport(float(res.value), False, tuple(sorted(peeled)), "float")
+        raise IntegrityError(f"entropy dual came back {res.status}")
+    return EntropyReport(Fraction(res.value), tuple(sorted(peeled)), "exact-dual")
 
 
-def _floor_power(q: int, exponent) -> int:
-    """floor(q**exponent) for Fraction exactly, for float with reporting tolerance."""
-    if isinstance(exponent, Fraction):
-        num, den = exponent.numerator, exponent.denominator
-        if num < 0:
-            return 0
-        target = q ** num
-        hi = 1
-        while hi ** den <= target:
-            hi *= 2
-        lo = hi // 2
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if mid ** den <= target:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    return int(math.floor(q ** exponent + FLOAT_REPORT_TOL))
+def _floor_power(q: int, exponent: Fraction) -> int:
+    """floor(q**exponent), exactly."""
+    num, den = exponent.numerator, exponent.denominator
+    if num < 0:
+        return 0
+    target = q ** num
+    hi = 1
+    while hi ** den <= target:
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if mid ** den <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # --- combined report -----------------------------------------------------------------

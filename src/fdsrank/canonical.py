@@ -18,7 +18,10 @@ from .digraph import Digraph, format_digraph, weak_components
 from .errors import IntegrityError, SizeLimitExceeded
 
 INDEPENDENT_SET_SINK_CAP = 30
-PRODUCT_BOUND_SINK_CAP = 20
+# per weak component; the product bound costs about 3^k in k sinks, the chain
+# bound 2^k (measured tables in CHANGES.md)
+PRODUCT_BOUND_SINK_CAP = 16
+CHAIN_BOUND_SINK_CAP = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,15 +173,12 @@ def _sink_masks(c: CanonicalGraph) -> list[int]:
     return [sum(1 << src_pos[a] for a in ins[b]) for b in c.sinks]
 
 
-def _capped_pieces(c: CanonicalGraph, what: str) -> list[CanonicalGraph]:
-    """The pieces of ``c``, refused when one has more sinks than the cap."""
+def _capped_pieces(c: CanonicalGraph, what: str, cap: int) -> list[CanonicalGraph]:
+    """The pieces of ``c``, refused when one has more than ``cap`` sinks."""
     pieces = _pieces(c)
     widest = max((len(p.sinks) for p in pieces), default=0)
-    if widest > PRODUCT_BOUND_SINK_CAP:
-        raise SizeLimitExceeded(
-            f"{what} capped at {PRODUCT_BOUND_SINK_CAP} sinks per component",
-            projected=widest,
-        )
+    if widest > cap:
+        raise SizeLimitExceeded(f"{what} capped at {cap} sinks per component", projected=widest)
     return pieces
 
 
@@ -188,7 +188,8 @@ def chain_bound(c: CanonicalGraph) -> int:
     Sinks in different weak components share no source, so the longest
     sequences of the components add up.
     """
-    return 1 + sum(_chain_length(_sink_masks(p)) for p in _capped_pieces(c, "chain bound"))
+    pieces = _capped_pieces(c, "chain bound", CHAIN_BOUND_SINK_CAP)
+    return 1 + sum(_chain_length(_sink_masks(p)) for p in pieces)
 
 
 def _chain_length(nin: list[int]) -> int:
@@ -218,7 +219,7 @@ def product_bound(c: CanonicalGraph) -> int:
     Works per weak component and multiplies, since sinks in different
     components have disjoint in-neighborhoods.
     """
-    pieces = _capped_pieces(c, "product bound")
+    pieces = _capped_pieces(c, "product bound", PRODUCT_BOUND_SINK_CAP)
     return math.prod(_product_bound_component(_sink_masks(p)) for p in pieces)
 
 

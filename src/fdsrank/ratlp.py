@@ -22,8 +22,10 @@ Lett. 2007):
    degenerate systems. An infeasible or unbounded verdict therefore always
    comes from the tableau.
 
-:func:`solve_float` returns the HiGHS answer as it stands, for programs too
-large for either exact path.
+The tableau holds rows x (columns + slacks + artificials + 1) ``Fraction``
+cells and refuses with ``SizeLimitExceeded`` past ``TABLEAU_CELL_CAP`` before
+it allocates them, so every :func:`solve_exact` answer is certified, pivoted
+on a small tableau, or refused.
 """
 
 from __future__ import annotations
@@ -32,33 +34,27 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import SizeLimitExceeded
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-FAILED = "failed"  # the float solver stopped without a verdict (iteration limit, numerics)
 
 # a float within 1/(2 q D) of a rational p/q with q <= D snaps to it exactly;
 # HiGHS solves to 1e-9, far inside that for D = 1000
 SNAP_DENOMINATOR = 1000
 SENSES = ("<=", ">=", "=")
+FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+# Fraction cells of the tableau; entropy duals took 0.2 s at 2,688 cells,
+# 1.7 s at 17,799 and 44 s at 102,378 (table in CHANGES.md)
+TABLEAU_CELL_CAP = 20_000
 
 
 @dataclass
 class LpResult:
     status: str
-    value: object = None  # Fraction (exact path) or float (float path)
+    value: Fraction | None = None
     x: list | None = None
-
-
-def _to_fraction_row(row, width):
-    out = [Fraction(0)] * width
-    if isinstance(row, dict):
-        for j, a in row.items():
-            out[j] = Fraction(a)
-    else:
-        for j, a in enumerate(row):
-            out[j] = Fraction(a)
-    return out
 
 
 def _items(row):
@@ -195,55 +191,50 @@ def solve_tableau(c, rows, senses, rhs, maximize=False) -> LpResult:
     """Two-phase tableau simplex over exact rationals, with Bland's rule.
 
     ``rows`` may mix dense sequences and sparse ``{index: coeff}`` dicts.
-    Returns the optimum of the stated (max or min) problem.
+    Returns the optimum of the stated (max or min) problem, or raises
+    ``SizeLimitExceeded`` when the tableau would pass ``TABLEAU_CELL_CAP``.
     """
     nvar = len(c)
     obj = [Fraction(x) for x in c]
     if maximize:
         obj = [-x for x in obj]
 
-    a = [_to_fraction_row(r, nvar) for r in rows]
+    for s in senses:
+        if s not in SENSES:
+            raise ValueError(f"bad sense {s!r}")
     b = [Fraction(x) for x in rhs]
-    sense = list(senses)
-    m = len(a)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-            sense[i] = {"<=": ">=", ">=": "<=", "=": "="}[sense[i]]
+    # a row with b < 0 enters negated, with its sense flipped
+    sense = [FLIPPED[s] if v < 0 else s for s, v in zip(senses, b)]
+    m = len(sense)
 
     # slack (+1) for <=, surplus (-1) plus artificial for >=, artificial for =
     slack_of = {}
     art_of = {}
     ncol = nvar
-    for i in range(m):
-        if sense[i] == "<=":
+    for i, s in enumerate(sense):
+        if s != "=":
             slack_of[i] = ncol
             ncol += 1
-        elif sense[i] == ">=":
-            slack_of[i] = ncol
-            ncol += 1
+        if s != "<=":
             art_of[i] = ncol
             ncol += 1
-        elif sense[i] == "=":
-            art_of[i] = ncol
-            ncol += 1
-        else:
-            raise ValueError(f"bad sense {sense[i]!r}")
+    cells = m * (ncol + 1)
+    if cells > TABLEAU_CELL_CAP:
+        raise SizeLimitExceeded(
+            f"exact tableau of {cells} cells exceeds {TABLEAU_CELL_CAP}", projected=cells
+        )
 
     tab = [[Fraction(0)] * (ncol + 1) for _ in range(m)]
     basis = [0] * m
-    for i in range(m):
-        tab[i][:nvar] = a[i]
-        tab[i][ncol] = b[i]
-        if sense[i] == "<=":
-            tab[i][slack_of[i]] = Fraction(1)
+    for i, row in enumerate(rows):
+        sign = -1 if b[i] < 0 else 1
+        for j, v in _items(row):
+            tab[i][j] = sign * Fraction(v)
+        tab[i][ncol] = sign * b[i]
+        if i in slack_of:
+            tab[i][slack_of[i]] = Fraction(1 if sense[i] == "<=" else -1)
             basis[i] = slack_of[i]
-        elif sense[i] == ">=":
-            tab[i][slack_of[i]] = Fraction(-1)
-            tab[i][art_of[i]] = Fraction(1)
-            basis[i] = art_of[i]
-        else:
+        if i in art_of:
             tab[i][art_of[i]] = Fraction(1)
             basis[i] = art_of[i]
 
@@ -322,18 +313,3 @@ def solve_tableau(c, rows, senses, rhs, maximize=False) -> LpResult:
     if maximize:
         value = -value
     return LpResult(OPTIMAL, value, x)
-
-
-def solve_float(c, rows, senses, rhs, maximize=False) -> LpResult:
-    """Float path via scipy HiGHS; 1e-9 feasibility tolerance."""
-    cost = [-float(a) for a in c] if maximize else [float(a) for a in c]
-    sparse_rows = [{j: a for j, a in _items(row) if a} for row in rows]
-    res, _y = _highs(len(c), sparse_rows, senses, rhs, cost)
-    if res.status == 2:
-        return LpResult(INFEASIBLE)
-    if res.status == 3:
-        return LpResult(UNBOUNDED)
-    if not res.success:
-        return LpResult(FAILED)
-    value = -res.fun if maximize else res.fun
-    return LpResult(OPTIMAL, value, list(res.x))

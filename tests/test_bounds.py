@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import small_digraphs
 from fdsrank import fixtures as fx
-from fdsrank import bounds, ratlp
+from fdsrank import ratlp
 from fdsrank.bounds import (
     _floor_power,
     entropy_report,
@@ -44,8 +44,10 @@ class TestMaxCodeSize:
             assert max_code_size(n, q, dist) == oracles.brute_max_code_size(n, q, dist)
 
     def test_known_hypercube_value(self):
-        # distance-2 codes halve the space
+        # distance-2 codes halve the space; at n=11 a clique search would
+        # recurse 2^10 levels deep
         assert max_code_size(5, 2, 2) == 16
+        assert max_code_size(11, 2, 2) == 2 ** 10
 
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
@@ -55,7 +57,7 @@ class TestMaxCodeSize:
 class TestEntropy:
     def test_odd_symmetric_cycle(self):
         rep = entropy_report(fx.C5_SYM)
-        assert rep.exact and rep.value == Fraction(5, 2)
+        assert rep.value == Fraction(5, 2)
         assert not rep.degenerate
 
     def test_directed_triangle(self):
@@ -100,18 +102,24 @@ class TestEntropy:
 
         monkeypatch.setattr(ratlp, "solve_tableau", no_tableau)
         for d in fx.CATALOG.values():
-            assert entropy_report(d).exact
+            assert isinstance(entropy_report(d).value, Fraction)
 
-    def test_float_path_matches_exact(self, monkeypatch):
-        for d in (fx.C5_SYM, fx.C3, fx.K3):
-            exact = entropy_report(d).value
-            # the cap is read on each solve: a cached report would hide it
-            entropy_report.cache_clear()
-            monkeypatch.setattr(bounds, "ENTROPY_EXACT_CAP", 0)
-            approx = entropy_report(d)
-            monkeypatch.undo()
-            assert abs(float(exact) - float(approx.value)) < 1e-6
-            assert not approx.exact and approx.method == "float"
+    def test_nine_core_vertices_are_certified_without_the_tableau(self, monkeypatch):
+        # the largest programs under the cap still need no tableau
+        def no_tableau(*args, **kwargs):
+            raise AssertionError("entropy program fell back to the tableau")
+
+        monkeypatch.setattr(ratlp, "solve_tableau", no_tableau)
+        for d, value in ((fx.directed_cycle(9), 1), (fx.complete(9), 8)):
+            rep = entropy_report(d)
+            assert (rep.value, rep.method) == (value, "exact-dual")
+
+    def test_cores_past_the_cap_are_refused_with_their_size(self, monkeypatch):
+        monkeypatch.setattr(ratlp, "solve_exact", None)  # refused before any solve
+        for k in (10, 11, 12):
+            with pytest.raises(SizeLimitExceeded) as err:
+                entropy_report(fx.symmetric_cycle(k))
+            assert err.value.projected == k
 
 
 class TestFloorPower:
@@ -120,10 +128,6 @@ class TestFloorPower:
         assert _floor_power(2, Fraction(3)) == 8
         assert _floor_power(3, Fraction(1, 2)) == 1
         assert _floor_power(2, Fraction(0)) == 1
-
-    def test_float_tolerance(self):
-        assert _floor_power(2, 2.4999999999) == 5
-        assert _floor_power(2, 3.0) == 8
 
 
 class TestFixBoundsReport:

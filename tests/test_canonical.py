@@ -7,6 +7,7 @@ from conftest import small_digraphs
 
 from fdsrank import fixtures as fx
 from fdsrank.canonical import (
+    PRODUCT_BOUND_SINK_CAP,
     CanonicalGraph,
     _pieces,
     absolute_minrank_bounds,
@@ -230,6 +231,17 @@ class TestComponents:
             with pytest.raises(SizeLimitExceeded) as err:
                 bound(canonicalize(chain))
             assert err.value.projected == 21
+
+    def test_product_bound_has_its_own_lower_cap(self):
+        # the product bound costs about 3^k in k sinks, the chain bound 2^k:
+        # one component one sink past the product cap still has a chain
+        k = PRODUCT_BOUND_SINK_CAP + 1
+        path = Digraph(2 * k + 1, [(i + s, k + 1 + i) for i in range(1, k + 1) for s in (0, 1)])
+        c = canonicalize(path)
+        with pytest.raises(SizeLimitExceeded) as err:
+            product_bound(c)
+        assert err.value.projected == k
+        assert chain_bound(c) == k + 1
 
     def test_pieces_partition_the_graph(self):
         rng = random.Random(72)

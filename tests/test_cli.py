@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -118,9 +119,9 @@ class TestExitCodes:
         assert "internal check failed" in capsys.readouterr().err
 
     def test_failed_entropy_program_is_one(self, capsys, monkeypatch, star3_file):
-        monkeypatch.setattr(ratlp, "solve_exact", lambda *a, **k: ratlp.LpResult(ratlp.FAILED))
+        monkeypatch.setattr(ratlp, "solve_exact", lambda *a, **k: ratlp.LpResult(ratlp.INFEASIBLE))
         assert main(["bounds", star3_file, "--q", "2"]) == 1
-        assert "internal check failed: entropy dual came back failed" in capsys.readouterr().err
+        assert "internal check failed: entropy dual came back infeasible" in capsys.readouterr().err
 
 
 class TestEnum:
@@ -164,6 +165,18 @@ class TestBounds:
             assert main(["bounds", str(path), "--q", "2", *strict]) == 0
             assert json.loads(capsys.readouterr().out)["entropy_detail"]["value"] == "5/2"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [fx.directed_cycle(10), fx.complete(11)], ids=["C10", "K11"])
+    def test_cores_past_the_entropy_cap_are_refused_at_once(self, capsys, tmp_path, d):
+        path = tmp_path / "big.graph"
+        path.write_text(format_digraph(d))
+        start = time.perf_counter()
+        rc, doc = run_json(capsys, ["bounds", str(path), "--q", "2"])
+        assert time.perf_counter() - start < 1
+        assert rc == 0
+        assert doc["skipped"]["entropy"] == f"size({d.n})"
+        assert doc["entropy_detail"] == {"status": "skipped(size)", "projected": d.n}
+        assert doc["entropy_exponent"] is None
 
 
 class TestWitness:

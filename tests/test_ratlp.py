@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdsrank import ratlp
+from fdsrank.errors import SizeLimitExceeded
 
 
 def test_basic_maximization():
@@ -61,18 +62,6 @@ def test_negative_rhs_normalization():
     assert res.value == 2
 
 
-def test_float_path_matches_exact():
-    c = [5, 4, 3]
-    rows = [[2, 3, 1], [4, 1, 2], [3, 4, 2]]
-    senses = ["<="] * 3
-    rhs = [5, 11, 8]
-    exact = ratlp.solve_exact(c, rows, senses, rhs, maximize=True)
-    fl = ratlp.solve_float(c, rows, senses, rhs, maximize=True)
-    assert exact.status == fl.status == ratlp.OPTIMAL
-    assert abs(float(exact.value) - fl.value) < 1e-9
-    assert exact.value == 13
-
-
 def test_fractional_optimum_is_exact():
     # optimum at x = y = 1/3
     res = ratlp.solve_exact(
@@ -80,17 +69,6 @@ def test_fractional_optimum_is_exact():
     )
     assert res.value == Fraction(2, 3)
     assert res.x == [Fraction(1, 3), Fraction(1, 3)]
-
-
-def test_float_solver_stopping_early_is_not_infeasible(monkeypatch):
-    from scipy import optimize
-
-    def iteration_limit(*args, **kwargs):
-        return optimize.OptimizeResult(status=1, success=False, message="iteration limit")
-
-    monkeypatch.setattr(optimize, "linprog", iteration_limit)
-    res = ratlp.solve_float([1], [[1]], ["<="], [1], maximize=True)
-    assert res.status == ratlp.FAILED != ratlp.INFEASIBLE
 
 
 # --- the certificate ------------------------------------------------------------
@@ -248,3 +226,28 @@ def test_fractional_rows_are_scaled_not_rounded():
         maximize=True,
     )
     assert res.value == Fraction(5, 4)
+
+
+def path_program(m):
+    """max sum x st x_i + x_(i+1) <= 1: m rows, m + 1 variables, one slack a row."""
+    rows = [{i: 1, i + 1: 1} for i in range(m)]
+    return [1] * (m + 1), rows, ["<="] * m, [1] * m, m * ((m + 1) + m + 1)
+
+
+def test_tableau_over_the_cell_cap_is_refused_before_it_pivots(monkeypatch, tableau_calls):
+    m = 1
+    while path_program(m)[-1] <= ratlp.TABLEAU_CELL_CAP:
+        m += 1
+    *program, cells = path_program(m)
+    # HiGHS certifies it: the cap only bounds the fallback
+    assert ratlp.solve_exact(*program, maximize=True).value == (m + 2) // 2
+    assert tableau_calls == []
+    with pytest.raises(SizeLimitExceeded) as err:
+        ratlp.solve_tableau(*program, maximize=True)
+    assert err.value.projected == cells
+    # a wrong HiGHS answer fails the certificate and reaches the guard
+    edit_highs(monkeypatch, set_x([-1] * (m + 1)))
+    with pytest.raises(SizeLimitExceeded) as err:
+        ratlp.solve_exact(*program, maximize=True)
+    assert err.value.projected == cells
+    assert len(tableau_calls) == 2

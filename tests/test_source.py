@@ -72,23 +72,19 @@ def test_weak_components_is_the_only_union_find():
     assert found == []
 
 
-def test_float_lp_is_named_only_in_ratlp_and_bounds():
-    # the invariants solve exactly or refuse; only the entropy program above
-    # its exact cap still takes the float answer
+def test_highs_is_called_only_inside_solve_exact():
+    # every HiGHS answer passes the certificate, so no uncertified float
+    # can reach a report
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name in ("ratlp.py", "bounds.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-            else:
-                name = getattr(node, "id", None)
-            if name == "solve_float":
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {node: getattr(top, "name", "<module>")
+                 for top in tree.body for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == "_highs":
+                found.append((path.name, owner[node]))
+    assert found == [("ratlp.py", "solve_exact")]
 
 
 def test_no_function_takes_an_exact_cap():
