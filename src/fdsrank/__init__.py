@@ -47,10 +47,8 @@ from .canonical import (
     MinrankBounds,
     TightnessVerdict,
     absolute_minrank_bounds,
-    canonical_isomorphic,
     canonicalize,
     chain_bound,
-    digraph_isomorphic,
     format_canonical,
     independent_set_bound,
     minrank_classify,
@@ -59,8 +57,6 @@ from .canonical import (
 )
 from .fds import (
     Fds,
-    evaluate,
-    evaluate_trajectory,
     fixed_points,
     format_fds,
     interaction_graph,
@@ -70,7 +66,6 @@ from .fds import (
     parse_fds,
     periodic_rank,
     rank,
-    read_fds,
 )
 from .constructions import (
     canonical_upper_witness,
@@ -84,7 +79,6 @@ from .constructions import (
     nilpotent_class_two,
     packing_plus_one_witness,
     star_witness,
-    threshold_states,
 )
 from .enumeration import (
     StatsReport,

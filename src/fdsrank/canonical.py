@@ -416,71 +416,3 @@ def _sub_canonical(c: CanonicalGraph, keep: set[int]) -> CanonicalGraph:
         provenance={new_id[v]: c.provenance[v] for v in kept},
     )
 
-
-# --- small-graph isomorphism ----------------------------------------------------
-
-def digraph_isomorphic(d1: Digraph, d2: Digraph) -> bool:
-    """Exact isomorphism test by joint color refinement plus backtracking."""
-    if d1.n != d2.n or d1.m != d2.m:
-        return False
-
-    ins1, outs1 = d1.in_map(), d1.out_map()
-    ins2, outs2 = d2.in_map(), d2.out_map()
-    palette: dict = {}
-
-    def canon(key):
-        return palette.setdefault(key, len(palette))
-
-    fp1 = {v: canon((len(ins1[v]), len(outs1[v]), (v, v) in d1.arcs)) for v in d1.vertices()}
-    fp2 = {v: canon((len(ins2[v]), len(outs2[v]), (v, v) in d2.arcs)) for v in d2.vertices()}
-    for _ in range(d1.n):
-        palette = {}
-        fp1 = {
-            v: canon((fp1[v],
-                      tuple(sorted(fp1[u] for u in ins1[v])),
-                      tuple(sorted(fp1[w] for w in outs1[v]))))
-            for v in d1.vertices()
-        }
-        fp2 = {
-            v: canon((fp2[v],
-                      tuple(sorted(fp2[u] for u in ins2[v])),
-                      tuple(sorted(fp2[w] for w in outs2[v]))))
-            for v in d2.vertices()
-        }
-    if sorted(fp1.values()) != sorted(fp2.values()):
-        return False
-    order = sorted(d1.vertices(), key=lambda v: (fp1[v], v))
-    cands = {v: [w for w in d2.vertices() if fp2[w] == fp1[v]] for v in d1.vertices()}
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(v: int, w: int) -> bool:
-        for u, x in mapping.items():
-            if ((u, v) in d1.arcs) != ((x, w) in d2.arcs):
-                return False
-            if ((v, u) in d1.arcs) != ((w, x) in d2.arcs):
-                return False
-        return ((v, v) in d1.arcs) == ((w, w) in d2.arcs)
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in cands[v]:
-            if w not in used and consistent(v, w):
-                mapping[v] = w
-                used.add(w)
-                if assign(i + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return assign(0)
-
-
-def canonical_isomorphic(c1: CanonicalGraph, c2: CanonicalGraph) -> bool:
-    if len(c1.sources) != len(c2.sources) or len(c1.sinks) != len(c2.sinks):
-        return False
-    return digraph_isomorphic(c1.as_digraph(), c2.as_digraph())

@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--q", type=int, default=2, help="alphabet size (>= 2)")
         sp.add_argument("--max-funcs", type=int, default=None,
-                        help="override the enumeration guard (or FDSRANK_MAX_FUNCS)")
+                        help="override the enumeration guard (default 1e8 systems)")
         sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
                         help="override the state-space guard")
 

@@ -157,18 +157,6 @@ def packing_plus_one_witness(d: Digraph, packing) -> Fds:
     return make_fds(d.n, 2, inputs, tables)
 
 
-def threshold_states(d: Digraph, packing) -> list[tuple[int, ...]]:
-    """The packing's fixed points by construction: ones on a prefix of cycles."""
-    states = []
-    for k in range(len(packing) + 1):
-        x = [0] * d.n
-        for cyc in packing[:k]:
-            for v in cyc:
-                x[v - 1] = 1
-        states.append(tuple(x))
-    return states
-
-
 def loopfull_maxfix(d: Digraph, q: int) -> int:
     """Closed form for the top fixed-point count after adding a loop everywhere."""
     if not d.is_loopless():

@@ -5,15 +5,14 @@ family fixes the interaction graph exactly (every local table must depend
 essentially on each declared input), the loose family only requires
 containment. Averages are exact rationals. One guard, :func:`price_family`,
 refuses oversized sweeps with the projected size: a function-count guard
-(default 1e8, overridable via the FDSRANK_MAX_FUNCS environment variable),
-the state-space guard of :mod:`fds`, and a cap on the table cells the sweep
+(``DEFAULT_MAX_FUNCS`` unless the caller passes ``max_funcs``), the
+state-space guard of :mod:`fds`, and a cap on the table cells the sweep
 set-up allocates.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,15 +34,6 @@ from .fds import (
 )
 
 DEFAULT_MAX_FUNCS = 10 ** 8
-
-
-def resolve_max_funcs(override=None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("FDSRANK_MAX_FUNCS")
-    if env:
-        return int(env)
-    return DEFAULT_MAX_FUNCS
 
 
 def essential_table_count(q: int, d: int) -> int:
@@ -208,8 +198,13 @@ def enumerate_stats(
     max_funcs: int | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> StatsReport:
-    """Exact min/average/max and histograms of rank, periodic rank, fixed points."""
-    total, n_states = price_family(d, q, strict, resolve_max_funcs(max_funcs), max_states)
+    """Exact min/average/max and histograms of rank, periodic rank, fixed points.
+
+    ``max_funcs`` defaults to ``DEFAULT_MAX_FUNCS``, read at call time.
+    """
+    if max_funcs is None:
+        max_funcs = DEFAULT_MAX_FUNCS
+    total, n_states = price_family(d, q, strict, max_funcs, max_states)
     rows = _vertex_value_rows(d, q, strict)
     counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
     # map values stay below n_states; int64 rows would take up to 8x the memory

@@ -74,13 +74,6 @@ def make_fds(n, q, declared_inputs, tables) -> Fds:
 
 # --- state helpers -------------------------------------------------------------
 
-def state_to_index(x, q) -> int:
-    idx = 0
-    for v in reversed(range(len(x))):
-        idx = idx * q + int(x[v])
-    return idx
-
-
 def index_to_state(idx, n, q) -> tuple[int, ...]:
     out = []
     for _ in range(n):
@@ -102,27 +95,6 @@ def digits(q: int, k: int) -> np.ndarray:
             projected=cells,
         )
     return np.arange(q ** k, dtype=np.int64)[:, None] // q ** np.arange(k, dtype=np.int64) % q
-
-
-def evaluate(f: Fds, x) -> tuple[int, ...]:
-    """One synchronous step from an explicit state tuple."""
-    out = []
-    for v in range(f.n):
-        idx = 0
-        for j in reversed(f.inputs[v]):
-            idx = idx * f.q + x[j - 1]
-        out.append(int(f.tables[v][idx]))
-    return tuple(out)
-
-
-def evaluate_trajectory(f: Fds, x, k: int) -> list[tuple[int, ...]]:
-    """The k+1 states x, f(x), ..., f^k(x)."""
-    if k < 0:
-        raise ValueError("step count must be non-negative")
-    traj = [tuple(int(c) for c in x)]
-    for _ in range(k):
-        traj.append(evaluate(f, traj[-1]))
-    return traj
 
 
 def check_states(n: int, q: int, max_states: int) -> int:
@@ -275,7 +247,3 @@ def parse_fds(text: str) -> Fds:
     return make_fds(n, q, [inputs[v] for v in range(1, n + 1)],
                     [tables[v] for v in range(1, n + 1)])
 
-
-def read_fds(path) -> Fds:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fds(fh.read())

@@ -2,9 +2,12 @@
 
 Each check recomputes an exact quantity two independent ways (enumeration vs
 closed form, bound vs witness, implementation vs classification) and reports
-one pass/fail line. ``quick`` keeps the per-family budget small so the whole
-battery stays under a few seconds; the full battery sweeps all 512 digraphs
-on three labeled vertices.
+one pass/fail line. Three checks hold the paper's lemmas against the same
+sweeps: the strict minimum rank does not rise with the alphabet, a nilpotency
+verdict forces minimum periodic rank 1, and fractional packing, clique cover
+and transversal number bracket the entropy exponent. ``quick`` keeps the
+per-family budget small so the whole battery stays under a few seconds; the
+full battery sweeps all 512 digraphs on three labeled vertices.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .bounds import entropy_report, fix_bounds_report
 from .canonical import (
@@ -26,6 +31,7 @@ from .constructions import (
     canonical_upper_witness,
     conjunctive,
     conjunctive_rank,
+    extend_alphabet,
     loopfull_maxfix,
     maxper_witness,
     maxrank_witness,
@@ -34,10 +40,30 @@ from .constructions import (
     packing_plus_one_witness,
     star_witness,
 )
-from .digraph import Digraph, fingerprint, structure_stats
-from .enumeration import enumerate_stats, family_size, univariate_baseline
-from .fds import interaction_graph, nilpotency_class, periodic_rank, rank
-from .invariants import blowup, cycle_packing_number, max_cycle_cover, max_independent_arcs
+from .digraph import Digraph, fingerprint, is_strongly_connected, structure_stats
+from .enumeration import enumerate_stats, family_size, minrank_exact, univariate_baseline
+from .errors import FdsrankError
+from .fds import (
+    Fds,
+    fixed_points,
+    format_fds,
+    interaction_graph,
+    nilpotency_class,
+    parse_fds,
+    periodic_rank,
+    rank,
+)
+from .invariants import (
+    blowup,
+    cycle_cover_certificate,
+    cycle_packing_number,
+    fractional_clique_cover,
+    fractional_cycle_packing,
+    max_cycle_cover,
+    max_independent_arcs,
+    nilpotent_sufficiency,
+    transversal_number,
+)
 from . import fixtures as fx
 
 Q3_BUDGET = 2_000_000  # largest q=3 family the max-rank check sweeps
@@ -57,6 +83,17 @@ class CheckResult:
             f"{self.name}: expected {self.expected}; actual {self.actual}: "
             f"{verdict} ({self.seconds:.2f}s)"
         )
+
+
+def _round_trips(f: Fds) -> bool:
+    """Whether the witness text of ``f`` parses back to the same system."""
+    try:
+        back = parse_fds(format_fds(f))
+    except FdsrankError:
+        return False
+    return (back.n, back.q, back.inputs) == (f.n, f.q, f.inputs) and all(
+        np.array_equal(a, b) for a, b in zip(back.tables, f.tables)
+    )
 
 
 def all_digraphs(n: int) -> list[Digraph]:
@@ -274,31 +311,37 @@ class VerifySuite:
 
     def check_witness_conformance(self):
         bad = []
+        built = []
         for name, d in fx.CATALOG.items():
-            if interaction_graph(conjunctive(d)) != d:
+            wc, w2 = conjunctive(d), nilpotent_class_two(d, 3)
+            built += [(name, wc), (name, w2)]
+            if interaction_graph(wc) != d:
                 bad.append((name, "conjunctive"))
-            if interaction_graph(nilpotent_class_two(d, 3)) != d:
+            if interaction_graph(w2) != d:
                 bad.append((name, "class-two"))
             c = canonicalize(d)
             if c.sinks:
                 w = canonical_upper_witness(c)
+                built.append((name, w))
                 if interaction_graph(w) != c.as_digraph():
                     bad.append((name, "canonical-upper"))
                 if rank(w) != independent_set_bound(c):
                     bad.append((name, "canonical-upper-rank"))
             for q in (2, 3):
                 wp = maxper_witness(d, q)
+                wr = maxrank_witness(d, q)
+                built += [(name, wp), (name, wr)]
                 if not interaction_graph(wp).arcs <= d.arcs:
                     bad.append((name, f"maxper q={q}"))
                 if periodic_rank(wp) != q ** max_cycle_cover(d):
                     bad.append((name, f"maxper-value q={q}"))
-                wr = maxrank_witness(d, q)
                 if not interaction_graph(wr).arcs <= d.arcs:
                     bad.append((name, f"maxrank q={q}"))
                 if rank(wr) != q ** max_independent_arcs(d):
                     bad.append((name, f"maxrank-value q={q}"))
         for n in (3, 5):
             w = star_witness(n)
+            built.append((f"star-{n}", w))
             target = fx.hub_with_looped_satellites(n)
             if interaction_graph(w) != target:
                 bad.append((f"star-{n}", "graph"))
@@ -306,13 +349,75 @@ class VerifySuite:
                 bad.append((f"star-{n}", "rank"))
         for n, q in ((2, 2), (2, 3), (3, 2)):
             w = modular_complete(n, q)
+            built.append((f"modular-{n}-{q}", w))
             if interaction_graph(w) != fx.complete(n):
                 bad.append((f"modular-{n}-{q}", "graph"))
-        pk = packing_plus_one_witness(fx.C3_LOOPED, [(1,), (2,), (3,)])
-        if interaction_graph(pk) != fx.C3_LOOPED:
-            bad.append(("looped-3-cycle", "packing-plus-one"))
+        # a covering packing of k cycles has k + 1 threshold fixed points
+        for name, d in fx.CATALOG.items():
+            if max_cycle_cover(d) < d.n:
+                continue
+            cover = cycle_cover_certificate(d)
+            pk = packing_plus_one_witness(d, cover)
+            built.append((name, pk))
+            if interaction_graph(pk) != d:
+                bad.append((name, "packing-plus-one"))
+            if len(fixed_points(pk)) < len(cover) + 1:
+                bad.append((name, "packing-plus-one fixed points"))
+        bad += [(name, "text round trip") for name, w in built if not _round_trips(w)]
         return "every witness reproduces or stays inside its target graph at its " \
             "promised value", not bad, "0 deviations", f"{len(bad)} deviations {bad[:4]}"
+
+    def check_alphabet_monotonicity(self):
+        rises, bad = [], []
+        checked_q3 = 0
+        for d in self.sweep_graphs():
+            low = self.stats(d, 2, True).rank.minimum
+            if minrank_exact(d, 2) != low:
+                bad.append((fingerprint(d), "search", low))
+            if family_size(d, 3, True) <= Q3_BUDGET:
+                checked_q3 += 1
+                if self.stats(d, 3, True).rank.minimum > low:
+                    rises.append(fingerprint(d))
+        for name, d in fx.CATALOG.items():
+            f = conjunctive(d)
+            g = extend_alphabet(f)
+            if (rank(g), interaction_graph(g)) != (rank(f), interaction_graph(f)):
+                bad.append((name, "extension"))
+        return f"strict min rank does not rise from q=2 to q=3 ({checked_q3} within budget); " \
+            f"exact search matches the sweep on {len(self.sweep_graphs())} digraphs; " \
+            "alphabet extension keeps rank and graph", not rises and not bad, \
+            "0 rises, 0 mismatches", f"{len(rises)} rises {rises[:3]}, " \
+            f"{len(bad)} mismatches {bad[:3]}"
+
+    def check_nilpotent_sufficiency(self):
+        bad = []
+        connected = fired = 0
+        for d in self.sweep_graphs():
+            if not is_strongly_connected(d):
+                continue
+            connected += 1
+            verdict = nilpotent_sufficiency(d)
+            if verdict == "none":
+                continue
+            fired += 1
+            if self.stats(d, 2, True).periodic_rank.minimum != 1:
+                bad.append((fingerprint(d), verdict))
+        return f"a nilpotency verdict forces strict min periodic rank 1 " \
+            f"({fired} verdicts on {connected} strongly connected digraphs)", not bad, \
+            "0 counterexamples", f"{len(bad)} counterexamples {bad[:3]}"
+
+    def check_entropy_bracket(self):
+        bad = []
+        graphs = self.sweep_graphs() + list(fx.CATALOG.values())
+        for d in graphs:
+            h = entropy_report(d).value
+            low = max(fractional_cycle_packing(d), d.n - fractional_clique_cover(d))
+            high = transversal_number(d)
+            if not low <= h <= high:
+                bad.append((fingerprint(d), str(low), str(h), high))
+        return f"fractional packing and n minus fractional clique cover <= entropy " \
+            f"<= transversal number on {len(graphs)} digraphs", not bad, \
+            "0 violations", f"{len(bad)} violations {bad[:3]}"
 
     # --- driver ------------------------------------------------------------
 
@@ -332,6 +437,9 @@ class VerifySuite:
             self.check_univariate,
             self.check_nilpotency,
             self.check_witness_conformance,
+            self.check_alphabet_monotonicity,
+            self.check_nilpotent_sufficiency,
+            self.check_entropy_bracket,
         ]
         results = []
         for fn in checks:

@@ -215,6 +215,36 @@ def brute_max_code_size(n, q, dist) -> int:
     return best
 
 
+def brute_isomorphic(d1, d2) -> bool:
+    """Whether some vertex bijection maps the arcs of d1 onto those of d2.
+
+    Tries every bijection that keeps (in-degree, out-degree, loop) of each
+    vertex: the product of the permutations within each such class.
+    """
+    if d1.n != d2.n or len(d1.arcs) != len(d2.arcs):
+        return False
+
+    def classes(d):
+        out = {}
+        for v in d.vertices():
+            key = (sum(a[1] == v for a in d.arcs), sum(a[0] == v for a in d.arcs),
+                   (v, v) in d.arcs)
+            out.setdefault(key, []).append(v)
+        return out
+
+    c1, c2 = classes(d1), classes(d2)
+    if {k: len(vs) for k, vs in c1.items()} != {k: len(vs) for k, vs in c2.items()}:
+        return False
+    keys = sorted(c1)
+    for images in itertools.product(*(itertools.permutations(c2[k]) for k in keys)):
+        image = {}
+        for k, vs in zip(keys, images):
+            image.update(zip(c1[k], vs))
+        if {(image[u], image[v]) for u, v in d1.arcs} == d2.arcs:
+            return True
+    return False
+
+
 # --- dict-based system evaluation (independent of the numpy paths) ---------
 
 def eval_map(f) -> dict[tuple, tuple]:

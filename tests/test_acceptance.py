@@ -82,3 +82,15 @@ def test_13_nilpotency(suite):
 
 def test_14_witness_conformance(suite):
     run_check(suite, "check_witness_conformance")
+
+
+def test_15_alphabet_monotonicity(suite):
+    run_check(suite, "check_alphabet_monotonicity", budget=30.0)
+
+
+def test_16_nilpotent_sufficiency(suite):
+    run_check(suite, "check_nilpotent_sufficiency", budget=5.0)
+
+
+def test_17_entropy_bracket(suite):
+    run_check(suite, "check_entropy_bracket", budget=20.0)

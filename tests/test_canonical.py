@@ -11,11 +11,9 @@ from fdsrank.canonical import (
     CanonicalGraph,
     _pieces,
     absolute_minrank_bounds,
-    canonical_isomorphic,
     canonicalize,
     chain_bound,
     conjunctive_rank_of_canonical,
-    digraph_isomorphic,
     format_canonical,
     independent_set_bound,
     minrank_classify,
@@ -25,6 +23,12 @@ from fdsrank.canonical import (
 from fdsrank.digraph import Digraph, parse_digraph
 from fdsrank.enumeration import enumerate_stats, minrank_exact
 from fdsrank.errors import SizeLimitExceeded
+
+
+def same_canonical_shape(c1, c2):
+    """Same source and sink counts, and isomorphic as digraphs."""
+    return (len(c1.sources), len(c1.sinks)) == (len(c2.sources), len(c2.sinks)) and \
+        oracles.brute_isomorphic(c1.as_digraph(), c2.as_digraph())
 
 
 def sink_inputs_by_original(c):
@@ -54,7 +58,7 @@ class TestCanonicalize:
 
     def test_bipartite_fixture_is_already_canonical(self):
         c = canonicalize(fx.FIG1)
-        assert digraph_isomorphic(c.as_digraph(), fx.FIG1)
+        assert oracles.brute_isomorphic(c.as_digraph(), fx.FIG1)
 
     def test_all_equal_inputs_collapse_to_single_arc(self):
         k3_loops = fx.add_loops(fx.K3)
@@ -72,7 +76,7 @@ class TestCanonicalize:
         for name, d in fx.CATALOG.items():
             c = canonicalize(d)
             again = canonicalize(c.as_digraph())
-            assert canonical_isomorphic(c, again), name
+            assert same_canonical_shape(c, again), name
 
     def test_provenance_covers_all_vertices(self):
         c = canonicalize(fx.STAR3)
@@ -258,7 +262,7 @@ class TestTightness:
     def test_star_is_tight_with_isomorphic_witness(self):
         verdict = tightness_classify(canonicalize(fx.STAR3))
         assert verdict.tight
-        assert digraph_isomorphic(verdict.witness, fx.STAR3)
+        assert oracles.brute_isomorphic(verdict.witness, fx.STAR3)
 
     def test_two_level_fixture_not_tight(self):
         verdict = tightness_classify(canonicalize(fx.FIG1))
@@ -281,7 +285,7 @@ class TestTightness:
             verdict = tightness_classify(c)
             if verdict.tight and verdict.witness is not None and not c.is_empty():
                 hits += 1
-                assert canonical_isomorphic(canonicalize(verdict.witness), c)
+                assert same_canonical_shape(canonicalize(verdict.witness), c)
         assert hits > 5
 
 
@@ -326,17 +330,19 @@ class TestAbsoluteBounds:
 
 
 class TestIsomorphism:
+    # the brute-force oracle the tests above compare canonical graphs with
     def test_relabelled_cycle(self):
         d2 = Digraph(3, [(2, 1), (1, 3), (3, 2)])
-        assert digraph_isomorphic(fx.C3, d2)
+        assert oracles.brute_isomorphic(fx.C3, d2)
 
     def test_detects_difference(self):
-        assert not digraph_isomorphic(fx.C3, Digraph(3, [(1, 2), (2, 3), (3, 2)]))
+        assert not oracles.brute_isomorphic(fx.C3, Digraph(3, [(1, 2), (2, 3), (3, 2)]))
 
     def test_loops_matter(self):
-        assert not digraph_isomorphic(fx.L1, Digraph(1, []))
+        assert not oracles.brute_isomorphic(fx.L1, Digraph(1, []))
 
     def test_large_blowups(self):
         from fdsrank.invariants import blowup
 
-        assert digraph_isomorphic(blowup(blowup(fx.P1, 2), 3), blowup(fx.P1, 6))
+        # the same labelled graph: copy i of a vertex under 2 then 3 is copy i under 6
+        assert blowup(blowup(fx.P1, 2), 3) == blowup(fx.P1, 6)

@@ -17,7 +17,6 @@ from fdsrank.constructions import (
     nilpotent_class_two,
     packing_plus_one_witness,
     star_witness,
-    threshold_states,
 )
 from fdsrank.digraph import Digraph
 from fdsrank.errors import AlphabetTooSmall, BadPacking, EvenN, LoopsPresent, ShapeMismatch
@@ -240,11 +239,21 @@ class TestPackingPlusOne:
         assert interaction_graph(w) == fx.C3_LOOPED
 
     def test_threshold_states_always_fixed(self):
+        # ones on the first k cycles and zeros on the rest, for k = 0..3
         packing = [(1,), (2,), (3,)]
         w = packing_plus_one_witness(fx.C3_LOOPED, packing)
         fixes = set(fixed_points(w))
-        for state in threshold_states(fx.C3_LOOPED, packing):
-            assert state in fixes
+        for k in range(len(packing) + 1):
+            ones = {v for cyc in packing[:k] for v in cyc}
+            assert tuple(int(v in ones) for v in range(1, 4)) in fixes
+
+    def test_full_cycle_cover_gives_exactly_one_more_fixed_point(self):
+        for name in ("L1", "C3", "C3o", "C2o", "K3", "C5sym"):
+            d = fx.CATALOG[name]
+            cover = cycle_cover_certificate(d)
+            assert sum(len(c) for c in cover) == d.n, name
+            w = packing_plus_one_witness(d, cover)
+            assert len(fixed_points(w)) == len(cover) + 1, name
 
     def test_same_cycle_chord_kept_in_graph(self):
         d = Digraph(3, [(1, 2), (2, 3), (3, 1), (1, 3)])

@@ -197,7 +197,7 @@ class TestUnivariate:
             assert univariate_baseline(q).fixed_point_free_count == (q - 1) ** q
 
     def test_guard(self, monkeypatch):
-        monkeypatch.setenv("FDSRANK_MAX_FUNCS", "10")
+        monkeypatch.setattr(enumeration, "DEFAULT_MAX_FUNCS", 10)
         with pytest.raises(SizeLimitExceeded) as err:
             univariate_baseline(4)
         assert err.value.projected == 4 ** 4

@@ -15,7 +15,6 @@ from fdsrank.errors import (
 from fdsrank.fds import (
     TABLE_CELL_CAP,
     digits,
-    evaluate_trajectory,
     fixed_points,
     format_fds,
     index_to_state,
@@ -26,7 +25,6 @@ from fdsrank.fds import (
     parse_fds,
     periodic_rank,
     rank,
-    state_to_index,
 )
 
 
@@ -70,18 +68,18 @@ class TestMakeFds:
 
 class TestStateSerialization:
     def test_little_endian(self):
-        assert state_to_index((1, 0, 1), 2) == 1 + 4
         assert index_to_state(5, 3, 2) == (1, 0, 1)
 
     def test_roundtrip(self):
         for idx in range(27):
-            assert state_to_index(index_to_state(idx, 3, 3), 3) == idx
+            x = index_to_state(idx, 3, 3)
+            assert sum(c * 3 ** v for v, c in enumerate(x)) == idx
 
     def test_digit_rows_are_the_states(self):
         for q, k in ((2, 1), (2, 4), (3, 3), (4, 2)):
             x = digits(q, k)
             assert x.shape == (q ** k, k) and x.dtype == np.int64
-            assert [state_to_index(row, q) for row in x] == list(range(q ** k))
+            assert [tuple(row) for row in x] == [index_to_state(i, k, q) for i in range(q ** k)]
         assert digits(3, 0).shape == (1, 0)
 
     def test_digit_matrix_is_priced_before_it_is_made(self):
@@ -90,27 +88,6 @@ class TestStateSerialization:
             digits(10 ** 5, 2)
         assert err.value.projected == 2 * 10 ** 10 > TABLE_CELL_CAP
         assert digits(2, 16).shape == (2 ** 16, 16)
-
-
-class TestTrajectory:
-    def test_negation_loop(self):
-        f = make_fds(1, 2, [[1]], [[1, 0]])
-        assert evaluate_trajectory(f, (0,), 2) == [(0,), (1,), (0,)]
-
-    def test_acyclic_reaches_shared_constant(self):
-        # vertex chain 1 -> 2 -> 3 with copy tables: constant after n steps
-        f = make_fds(3, 2, [[], [1], [2]], [[1], [0, 1], [0, 1]])
-        finals = set()
-        for x0 in range(2):
-            for x1 in range(2):
-                for x2 in range(2):
-                    finals.add(tuple(evaluate_trajectory(f, (x0, x1, x2), 3)[-1]))
-        assert len(finals) == 1
-
-    def test_constant_after_one_step(self):
-        f = make_fds(2, 3, [[], []], [[2], [1]])
-        traj = evaluate_trajectory(f, (0, 0), 3)
-        assert traj[1:] == [(2, 1)] * 3
 
 
 class TestInteractionGraph:
@@ -233,10 +210,8 @@ def test_fixed_points_are_the_one_step_returns():
     for _ in range(20):
         f = random_fds(rng)
         fixes = set(fixed_points(f))
-        for idx in range(f.q ** f.n):
-            x = index_to_state(idx, f.n, f.q)
-            traj = evaluate_trajectory(f, x, 1)
-            assert (traj[1] == x) == (x in fixes)
+        for x, y in oracles.eval_map(f).items():
+            assert (y == x) == (x in fixes)
 
 
 def test_map_array_matches_dict_oracle():
@@ -246,5 +221,5 @@ def test_map_array_matches_dict_oracle():
         m = map_array(f)
         dict_map = oracles.eval_map(f)
         for x_tuple, y_tuple in dict_map.items():
-            xi = state_to_index(x_tuple, f.q)
+            xi = sum(c * f.q ** v for v, c in enumerate(x_tuple))
             assert index_to_state(int(m[xi]), f.n, f.q) == y_tuple

@@ -95,3 +95,55 @@ def test_no_function_takes_an_exact_cap():
             if isinstance(node, ast.arg) and node.arg == "exact_cap":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _top_level_names(tree):
+    """Each top-level function, class and assigned name, with its defining node."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defs.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return defs
+
+
+def test_every_export_is_reached_from_the_commands():
+    # an exported name that no command or verify check reaches is dead code;
+    # the walk follows bare names, ``from .module import name`` bindings and
+    # ``module.name`` through ``from . import module``
+    defs, imported, modules = {}, {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        mod = path.stem
+        defs[mod], imported[mod], modules[mod] = _top_level_names(tree), {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module:
+                        imported[mod][bound] = (node.module, alias.name)
+                    else:
+                        modules[mod][bound] = alias.name
+    reached = set()
+    todo = [(mod, name) for mod in ("cli", "verify") for name in defs[mod]]
+    while todo:
+        mod, name = todo.pop()
+        if (mod, name) in reached:
+            continue
+        reached.add((mod, name))
+        for node in ast.walk(defs[mod][name]):
+            if isinstance(node, ast.Name):
+                if node.id in defs[mod]:
+                    todo.append((mod, node.id))
+                elif node.id in imported[mod]:
+                    todo.append(imported[mod][node.id])
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                target = modules[mod].get(node.value.id)
+                if target is not None and node.attr in defs[target]:
+                    todo.append((target, node.attr))
+    dead = sorted(f"{mod}.{name}" for mod, name in imported["__init__"].values()
+                  if (mod, name) not in reached)
+    assert dead == [], f"exports that no command or verify check reaches: {dead}"

@@ -1,11 +1,19 @@
+import dataclasses
+
+import pytest
+
+from fdsrank import fixtures as fx
+from fdsrank import verify
 from fdsrank.cli import main
-from fdsrank.enumeration import resolve_max_funcs
+from fdsrank.constructions import conjunctive
+from fdsrank.fds import make_fds
+from fdsrank.invariants import transversal_number
 from fdsrank.verify import VerifySuite
 
 
 def test_quick_battery_all_green():
     results = VerifySuite(quick=True).run()
-    assert len(results) == 14
+    assert len(results) == 17
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
@@ -18,8 +26,8 @@ def test_check_lines_carry_expected_and_actual():
 def test_cli_verify_quick_exits_zero(capsys):
     assert main(["verify", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 14
-    assert "14/14 checks passed" in out
+    assert out.count("PASS") == 17
+    assert "17/17 checks passed" in out
 
 
 def test_cli_verify_reports_broken_build(capsys, monkeypatch):
@@ -35,19 +43,60 @@ def test_cli_verify_reports_broken_build(capsys, monkeypatch):
     assert "failed: independent-set bound" in captured.err
 
 
-def test_env_override_of_function_guard(monkeypatch):
-    monkeypatch.setenv("FDSRANK_MAX_FUNCS", "123")
-    assert resolve_max_funcs() == 123
-    assert resolve_max_funcs(77) == 77
-    monkeypatch.delenv("FDSRANK_MAX_FUNCS")
-    assert resolve_max_funcs() == 10 ** 8
+# --- each lemma check fails when the code it guards is broken on purpose ----
+
+def _drop_last_table_entry(real):
+    return lambda f: real(f).rstrip("\n").rsplit(" ", 1)[0] + "\n"
 
 
-def test_env_guard_blocks_enumeration(monkeypatch, tmp_path):
-    from fdsrank import fixtures as fx
-    from fdsrank.digraph import format_digraph
+def _constant_last_table(real):
+    # the last vertex ignores its inputs: the extension loses that vertex's arcs
+    def extend(f):
+        g = real(f)
+        return make_fds(g.n, g.q, g.inputs, g.tables[:-1] + (g.tables[-1] * 0,))
+    return extend
 
-    path = tmp_path / "g.graph"
-    path.write_text(format_digraph(fx.STAR3))
-    monkeypatch.setenv("FDSRANK_MAX_FUNCS", "10")
-    assert main(["enum", str(path), "--q", "2", "--strict"]) == 3
+
+@pytest.mark.parametrize("check, name, broken, symptom", [
+    pytest.param("check_alphabet_monotonicity", "minrank_exact",
+                 lambda real: lambda d, q: real(d, q) + 1, "search", id="minrank-off-by-one"),
+    pytest.param("check_alphabet_monotonicity", "extend_alphabet", _constant_last_table,
+                 "extension", id="extension-drops-arcs"),
+    pytest.param("check_entropy_bracket", "fractional_cycle_packing",
+                 lambda real: lambda d: transversal_number(d) + 1, "violations",
+                 id="packing-above-transversal"),
+    pytest.param("check_witness_conformance", "format_fds", _drop_last_table_entry,
+                 "text round trip", id="text-drops-an-entry"),
+    pytest.param("check_witness_conformance", "packing_plus_one_witness",
+                 lambda real: lambda d, packing: conjunctive(d),
+                 "packing-plus-one fixed points", id="packing-witness-is-conjunctive"),
+])
+def test_lemma_checks_catch_a_broken_build(monkeypatch, check, name, broken, symptom):
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    _, ok, _, actual = getattr(VerifySuite(quick=True), check)()
+    assert not ok and symptom in actual
+
+
+def test_alphabet_check_catches_a_rise_at_q3(monkeypatch):
+    suite = VerifySuite(quick=True)
+    real = suite.stats
+
+    def stats(d, q, strict):
+        report = real(d, q, strict)
+        if q == 3:
+            rank = dataclasses.replace(report.rank, minimum=q ** d.n)
+            report = dataclasses.replace(report, rank=rank)
+        return report
+
+    monkeypatch.setattr(suite, "stats", stats)
+    _, ok, _, actual = suite.check_alphabet_monotonicity()
+    assert not ok and not actual.startswith("0 rises")
+
+
+def test_nilpotency_check_catches_a_false_verdict(monkeypatch):
+    # the directed 3-cycle's strict systems are bijections: a verdict there is wrong
+    suite = VerifySuite(quick=True)
+    monkeypatch.setattr(suite, "sweep_graphs", lambda: [fx.C3])
+    monkeypatch.setattr(verify, "nilpotent_sufficiency", lambda d: "loop")
+    _, ok, _, actual = suite.check_nilpotent_sufficiency()
+    assert not ok and actual.startswith("1 counterexamples")
