@@ -19,9 +19,11 @@ from .errors import IntegrityError, SizeLimitExceeded
 
 INDEPENDENT_SET_SINK_CAP = 30
 # per weak component; the product bound costs about 3^k in k sinks, the chain
-# bound 2^k (measured tables in CHANGES.md)
+# bound 2^k, the conjunctive rank 2^k in k sources (measured tables in
+# CHANGES.md)
 PRODUCT_BOUND_SINK_CAP = 16
 CHAIN_BOUND_SINK_CAP = 20
+CONJUNCTIVE_SOURCE_CAP = 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +175,14 @@ def _sink_masks(c: CanonicalGraph) -> list[int]:
     return [sum(1 << src_pos[a] for a in ins[b]) for b in c.sinks]
 
 
-def _capped_pieces(c: CanonicalGraph, what: str, cap: int) -> list[CanonicalGraph]:
-    """The pieces of ``c``, refused when one has more than ``cap`` sinks."""
+def _capped_pieces(
+    c: CanonicalGraph, what: str, cap: int, side: str = "sinks"
+) -> list[CanonicalGraph]:
+    """The pieces of ``c``, refused when one has more than ``cap`` sinks (or sources)."""
     pieces = _pieces(c)
-    widest = max((len(p.sinks) for p in pieces), default=0)
+    widest = max((len(getattr(p, side)) for p in pieces), default=0)
     if widest > cap:
-        raise SizeLimitExceeded(f"{what} capped at {cap} sinks per component", projected=widest)
+        raise SizeLimitExceeded(f"{what} capped at {cap} {side} per component", projected=widest)
     return pieces
 
 
@@ -367,10 +371,11 @@ def conjunctive_rank_of_canonical(c: CanonicalGraph) -> int:
 
     Sources output constant 1; each sink outputs the conjunction of its
     sources, so the rank is the number of distinct sink-indicator patterns,
-    multiplied over weak components.
+    multiplied over weak components. Each component walks all 2^k patterns
+    of its k sources, so k is capped.
     """
     total = 1
-    for p in _pieces(c):
+    for p in _capped_pieces(c, "conjunctive rank", CONJUNCTIVE_SOURCE_CAP, "sources"):
         masks = _sink_masks(p)
         total *= len({tuple(m & ~x == 0 for m in masks) for x in range(1 << len(p.sources))})
     return total
@@ -379,22 +384,34 @@ def conjunctive_rank_of_canonical(c: CanonicalGraph) -> int:
 def absolute_minrank_bounds(d: Digraph) -> MinrankBounds:
     """Alphabet-free minimum-rank bracket with its stabilization alphabet.
 
-    The lower bound is the product bound of the canonical graph; the upper
-    bound multiplies per-component minima of the conjunctive rank and the
-    independent-set count. The minimum rank provably stops decreasing at
-    alphabet size (n+1)*m.
+    The lower bound is the product bound of the canonical graph, or the
+    smaller chain bound when the product bound is refused; the upper bound
+    multiplies per-component minima of the conjunctive rank and the
+    independent-set count, or the count alone where the conjunctive rank is
+    refused. The minimum rank provably stops decreasing at alphabet size
+    (n+1)*m.
     """
     c = canonicalize(d)
-    lower = product_bound(c)
-    upper = math.prod(
-        min(conjunctive_rank_of_canonical(p), independent_set_bound(p)) for p in _pieces(c)
-    )
+    try:
+        lower = product_bound(c)
+    except SizeLimitExceeded:
+        lower = chain_bound(c)
+    upper = math.prod(_piece_upper(p) for p in _pieces(c))
     return MinrankBounds(
         lower=lower,
         upper=upper,
         stabilization_q=max(2, (d.n + 1) * d.m),
         exact=lower == upper,
     )
+
+
+def _piece_upper(p: CanonicalGraph) -> int:
+    """Least of a piece's independent-set count and, unless refused, its conjunctive rank."""
+    count = independent_set_bound(p)
+    try:
+        return min(conjunctive_rank_of_canonical(p), count)
+    except SizeLimitExceeded:
+        return count
 
 
 def _pieces(c: CanonicalGraph) -> list[CanonicalGraph]:

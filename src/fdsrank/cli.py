@@ -49,14 +49,19 @@ EXIT_PARSE = 2
 EXIT_GUARD = 3
 
 
-def _section(fn):
-    """Run one report section; guard refusals become a skipped marker."""
+def _entry(fn, *args):
+    """One answer; a guard refusal becomes a skipped marker with the projected size."""
     try:
-        data = fn()
-        data["status"] = "ok"
-        return data
+        return fn(*args)
     except SizeLimitExceeded as exc:
         return {"status": "skipped(size)", "projected": exc.projected, "reason": str(exc)}
+
+
+def _section(fn):
+    """Run one report section; guard refusals become a skipped marker."""
+    data = _entry(fn)
+    data.setdefault("status", "ok")
+    return data
 
 
 def _emit(doc, fmt):
@@ -96,15 +101,17 @@ def cmd_analyze(args) -> int:
         }
 
     def canonical_summary():
+        # each bound answers or is skipped on its own; tight needs L and U
         c = canonicalize(d)
-        tight = tightness_classify(c)
+        lower, upper = _entry(chain_bound, c), _entry(independent_set_bound, c)
+        refused = [b for b in (lower, upper) if isinstance(b, dict)]
         return {
             "A_size": len(c.sources),
             "B_size": len(c.sinks),
-            "L": chain_bound(c),
-            "Lp": product_bound(c),
-            "U": independent_set_bound(c),
-            "tight": tight.tight,
+            "L": lower,
+            "Lp": _entry(product_bound, c),
+            "U": upper,
+            "tight": refused[0] if refused else tightness_classify(c).tight,
         }
 
     def minrank_section():

@@ -3,11 +3,12 @@
 ``enumerate_stats`` sweeps the full table product for a digraph: the strict
 family fixes the interaction graph exactly (every local table must depend
 essentially on each declared input), the loose family only requires
-containment. Averages are exact rationals. One guard, :func:`price_family`,
-refuses oversized sweeps with the projected size: a function-count guard
-(``DEFAULT_MAX_FUNCS`` unless the caller passes ``max_funcs``), the
-state-space guard of :mod:`fds`, and a cap on the table cells the sweep
-set-up allocates.
+containment. Averages are exact rationals. The sweep and ``minrank_exact``
+read one narrow tensor, built by :func:`_sweep_tensor`. One guard,
+:func:`price_family`, refuses oversized sweeps with the projected size: a
+function-count guard (``DEFAULT_MAX_FUNCS`` unless the caller passes
+``max_funcs``), the state-space guard of :mod:`fds`, and a cap on the bytes
+the sweep set-up allocates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .digraph import Digraph, fingerprint
 from .errors import IntegrityError, SizeLimitExceeded
 from .fds import (
     DEFAULT_MAX_STATES,
-    TABLE_CELL_CAP,
+    TABLE_BYTE_CAP,
     check_states,
     depends_on,
     digits,
@@ -43,8 +44,8 @@ def essential_table_count(q: int, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def _all_tables(q: int, d: int) -> np.ndarray:
-    """Matrix of every table on d inputs: row t holds the q^d outputs of table t."""
-    return digits(q, q ** d)
+    """Matrix of every table on d inputs, one row of q^d outputs each, narrowest dtype."""
+    return digits(q, q ** d).astype(np.min_scalar_type(q - 1))
 
 
 @lru_cache(maxsize=64)
@@ -157,10 +158,10 @@ def price_family(
 ) -> tuple[int, int]:
     """Systems and states of a family sweep; refuses the sweep over any guard.
 
-    The guards are on systems, states and table cells. The cells are what
-    the sweep set-up allocates before the kernel runs: the per-vertex value
-    rows and the (vertices x most tables x states) tensor they are padded
-    into. ``max_funcs`` is an already resolved limit.
+    The guards are on systems, states and the bytes the sweep set-up
+    allocates: the padded tensor, one vertex's gather (tables x states), the
+    narrow table matrices and the int64 digit matrix the largest is decoded
+    from. ``max_funcs`` is an already resolved limit.
     """
     counts = _table_counts(d, q, strict)
     total = math.prod(counts)
@@ -169,26 +170,31 @@ def price_family(
             f"family has {total} systems, over the guard {max_funcs}", projected=total
         )
     n_states = check_states(d.n, q, max_states)
-    cells = (sum(counts) + d.n * max(counts)) * n_states
-    if cells > TABLE_CELL_CAP:
+    value, state = (np.min_scalar_type(x - 1).itemsize for x in (q, n_states))
+    cells = [q ** (q ** k) * q ** k for k in {len(ins) for ins in d.in_map().values()}]
+    nbytes = (d.n * state + value) * max(counts) * n_states + value * sum(cells) + 8 * max(cells)
+    if nbytes > TABLE_BYTE_CAP:
         raise SizeLimitExceeded(
-            f"table materialization needs {cells} cells, over {TABLE_CELL_CAP}",
-            projected=cells,
+            f"sweep set-up needs {nbytes} bytes, over {TABLE_BYTE_CAP}", projected=nbytes
         )
     return total, n_states
 
 
-def _vertex_value_rows(d: Digraph, q: int, strict: bool) -> list[np.ndarray]:
-    """Per-vertex local values on every state, one (tables, states) int64 matrix each."""
+def _sweep_tensor(d: Digraph, q: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Padded tensor ``w`` and live row counts: ``w[v, t]`` is table t of vertex v+1 times q^v."""
     ins = d.in_map()
-    rows = []
-    for v in d.vertices():
-        inputs = sorted(ins[v])
+    counts = np.array(_table_counts(d, q, strict), dtype=np.int64)
+    for k in {len(i) for i in ins.values()}:  # free each int64 digit matrix before w exists
+        (_essential_selector if strict else _all_tables)(q, k)
+    w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.min_scalar_type(q ** d.n - 1))
+    for v in range(d.n):
+        inputs = sorted(ins[v + 1])
         tables = _all_tables(q, len(inputs))
         if strict:
             tables = tables[_essential_selector(q, len(inputs))]
-        rows.append(tables[:, input_index(d.n, q, inputs)])
-    return rows
+        np.multiply(tables[:, input_index(d.n, q, inputs)], w.dtype.type(q ** v),
+                    out=w[v, : counts[v]], casting="unsafe")
+    return w, counts
 
 
 def enumerate_stats(
@@ -205,13 +211,7 @@ def enumerate_stats(
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
     total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    rows = _vertex_value_rows(d, q, strict)
-    counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
-    # map values stay below n_states; int64 rows would take up to 8x the memory
-    w = np.zeros((d.n, int(counts.max()), n_states), dtype=np.min_scalar_type(n_states - 1))
-    for v, r in enumerate(rows):
-        np.multiply(r, q ** v, out=w[v, : r.shape[0]], casting="unsafe")
-    hists = kernels.family_histograms(w, counts, n_states)
+    hists = kernels.family_histograms(*_sweep_tensor(d, q, strict), n_states)
     # the only guard against a kernel that drops or double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
         if int(hist.sum()) != total:
@@ -243,8 +243,8 @@ def minrank_exact(
     remainder whenever the two blocks read disjoint coordinates.
     """
     # the search prunes the strict family instead of sweeping it, so it has no
-    # function-count guard; a sweep's cells bound the rows it holds
-    _, n_states = price_family(d, q, True, math.inf, max_states)
+    # function-count guard; it holds the sweep's tensor
+    price_family(d, q, True, math.inf, max_states)
 
     # the AND network, read over alphabet q, keeps its image and so its rank
     incumbent = conjunctive_rank(d, max_states)
@@ -254,7 +254,7 @@ def minrank_exact(
         return incumbent
 
     ins = d.in_map()
-    value_rows = _vertex_value_rows(d, q, strict=True)
+    w, counts = _sweep_tensor(d, q, strict=True)
 
     # product factors for suffixes whose coordinates are disjoint from the prefix
     factors = [1] * (d.n + 1)
@@ -271,7 +271,8 @@ def minrank_exact(
         if rest_arcs:
             factors[k] = product_bound(canonicalize(Digraph(d.n, rest_arcs)))
 
-    def search(depth: int, cls: np.ndarray, n_cls: int) -> None:
+    def search(depth: int, partial: np.ndarray, n_cls: int) -> None:
+        # distinct sums of the chosen rows are distinct prefix tuples
         nonlocal incumbent
         if incumbent <= global_lower:
             return
@@ -279,16 +280,13 @@ def minrank_exact(
             if n_cls < incumbent:
                 incumbent = n_cls
             return
-        rows = value_rows[depth]
-        for t in range(rows.shape[0]):
-            key = cls * q + rows[t]
-            uniq, new_cls = np.unique(key, return_inverse=True)
-            cnt = int(uniq.size)
-            if cnt * factors[depth + 1] >= incumbent:
-                continue
-            search(depth + 1, new_cls.astype(np.int64), cnt)
+        for row in w[depth, : counts[depth]]:
+            extended = partial + row
+            cnt = int(np.unique(extended).size)
+            if cnt * factors[depth + 1] < incumbent:
+                search(depth + 1, extended, cnt)
 
-    search(0, np.zeros(n_states, dtype=np.int64), 1)
+    search(0, np.zeros_like(w[0, 0]), 1)
     return incumbent
 
 

@@ -18,7 +18,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_STATES = 1 << 24
-TABLE_CELL_CAP = 1 << 26  # int64 cells one sweep set-up or one digit matrix may allocate
+TABLE_BYTE_CAP = 1 << 29  # bytes one sweep set-up or one int64 digit matrix may allocate
 
 
 class Fds:
@@ -86,15 +86,16 @@ def digits(q: int, k: int) -> np.ndarray:
     """The (q^k, k) matrix whose row i holds the k base-q digits of i.
 
     Least significant digit first, the order of states and table cells; for
-    k=0 the shape is (1, 0). Refused over ``TABLE_CELL_CAP`` cells.
+    k=0 the shape is (1, 0). Refused over ``TABLE_BYTE_CAP`` bytes, 8 a cell.
     """
-    cells = q ** k * k
-    if cells > TABLE_CELL_CAP:
+    nbytes = 8 * q ** k * k
+    if nbytes > TABLE_BYTE_CAP:
         raise SizeLimitExceeded(
-            f"digit matrix of {q}^{k} rows needs {cells} cells, over {TABLE_CELL_CAP}",
-            projected=cells,
+            f"digit matrix of {q}^{k} rows needs {nbytes} bytes, over {TABLE_BYTE_CAP}",
+            projected=nbytes,
         )
-    return np.arange(q ** k, dtype=np.int64)[:, None] // q ** np.arange(k, dtype=np.int64) % q
+    out = np.arange(q ** k, dtype=np.int64)[:, None] // q ** np.arange(k, dtype=np.int64)
+    return np.remainder(out, q, out=out)
 
 
 def check_states(n: int, q: int, max_states: int) -> int:
@@ -159,29 +160,28 @@ def fixed_points(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> list[tuple[int
     return [index_to_state(int(i), f.n, f.q) for i in idxs]
 
 
-def periodic_rank(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> int:
-    """Size of the eventual image, by iterating image sets until stable."""
+def _eventual_image(f: Fds, max_states: int) -> tuple[int, int]:
+    """(size, steps): the image of f^k stops shrinking at k = steps, at this size."""
     m = map_array(f, max_states)
     s = np.unique(m)
+    k = 1
     while True:
         t = np.unique(m[s])
         if t.size == s.size:
-            return int(s.size)
+            return int(s.size), k
         s = t
+        k += 1
+
+
+def periodic_rank(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> int:
+    """Size of the eventual image, by iterating image sets until stable."""
+    return _eventual_image(f, max_states)[0]
 
 
 def nilpotency_class(f: Fds, max_states: int = DEFAULT_MAX_STATES):
     """(nilpotent, class): class is the least k with f^k constant, else None."""
-    m = map_array(f, max_states)
-    s = np.unique(m)
-    k = 1
-    while s.size > 1:
-        t = np.unique(m[s])
-        if t.size == s.size:
-            return False, None
-        s = t
-        k += 1
-    return True, k
+    size, k = _eventual_image(f, max_states)
+    return (True, k) if size == 1 else (False, None)
 
 
 def interaction_graph(f: Fds) -> Digraph:

@@ -49,17 +49,24 @@ def brute_simple_cycles(d) -> list[tuple[int, ...]]:
 
 
 def brute_cycle_packing(d) -> int:
-    cycles = [frozenset(c) for c in brute_simple_cycles(d)]
-    best = 0
-    for k in range(len(cycles), 0, -1):
-        if k <= best:
-            break
-        for combo in itertools.combinations(cycles, k):
-            total = sum(len(c) for c in combo)
-            if total == len(frozenset().union(*combo)):
-                best = k
-                break
-    return best
+    """Most vertex-disjoint simple cycles, by exhaustive search over vertex masks.
+
+    The least remaining vertex is either left uncovered or covered by one
+    simple cycle through it inside the remaining vertices.
+    """
+    cycles = [sum(1 << (v - 1) for v in c) for c in brute_simple_cycles(d)]
+    memo = {0: 0}
+
+    def best(remaining: int) -> int:
+        if remaining not in memo:
+            low = remaining & -remaining
+            memo[remaining] = max(
+                [best(remaining ^ low)]
+                + [1 + best(remaining ^ c) for c in cycles if c & low and c & remaining == c]
+            )
+        return memo[remaining]
+
+    return best((1 << d.n) - 1)
 
 
 def brute_max_independent_arcs(d) -> int:

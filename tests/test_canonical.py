@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import oracles
 import pytest
@@ -7,6 +8,7 @@ from conftest import small_digraphs
 
 from fdsrank import fixtures as fx
 from fdsrank.canonical import (
+    CONJUNCTIVE_SOURCE_CAP,
     PRODUCT_BOUND_SINK_CAP,
     CanonicalGraph,
     _pieces,
@@ -21,6 +23,7 @@ from fdsrank.canonical import (
     tightness_classify,
 )
 from fdsrank.digraph import Digraph, parse_digraph
+from fdsrank.constructions import conjunctive_rank
 from fdsrank.enumeration import enumerate_stats, minrank_exact
 from fdsrank.errors import SizeLimitExceeded
 
@@ -206,6 +209,20 @@ def disjoint_union(c1, c2):
     )
 
 
+def zigzag(k):
+    """Sink i reads sources i and i + 1: one component of k + 1 sources and k sinks."""
+    return Digraph(2 * k + 1, [(i + s, k + 1 + i) for i in range(1, k + 1) for s in (0, 1)])
+
+
+def pairs_and_triples(n_triples):
+    """Six sinks; one source per pair of sinks, then ``n_triples`` sources per triple."""
+    groups = list(itertools.combinations(range(6), 2))
+    groups += list(itertools.combinations(range(6), 3))[:n_triples]
+    first_sink = len(groups) + 1
+    return Digraph(len(groups) + 6,
+                   [(a, first_sink + b) for a, g in enumerate(groups, start=1) for b in g])
+
+
 class TestComponents:
     """The bounds multiply over weak components, which ``_pieces`` splits off."""
 
@@ -229,8 +246,7 @@ class TestComponents:
         assert product_bound(canonicalize(arcs21)) == 2 ** 21
         assert chain_bound(canonicalize(arcs21)) == 22
         assert absolute_minrank_bounds(arcs21).lower == 2 ** 21
-        # sink i reads sources i and i + 1: one component with 21 sinks
-        chain = Digraph(43, [(i + s, 22 + i) for i in range(1, 22) for s in (0, 1)])
+        chain = zigzag(21)
         for bound in (product_bound, chain_bound):
             with pytest.raises(SizeLimitExceeded) as err:
                 bound(canonicalize(chain))
@@ -240,12 +256,27 @@ class TestComponents:
         # the product bound costs about 3^k in k sinks, the chain bound 2^k:
         # one component one sink past the product cap still has a chain
         k = PRODUCT_BOUND_SINK_CAP + 1
-        path = Digraph(2 * k + 1, [(i + s, k + 1 + i) for i in range(1, k + 1) for s in (0, 1)])
-        c = canonicalize(path)
+        c = canonicalize(zigzag(k))
         with pytest.raises(SizeLimitExceeded) as err:
             product_bound(c)
         assert err.value.projected == k
         assert chain_bound(c) == k + 1
+
+    def test_conjunctive_rank_is_refused_past_its_source_cap(self):
+        # 31 sources in one component: 2^31 patterns, about 45 minutes uncapped
+        d = zigzag(30)
+        start = time.perf_counter()
+        for call in (lambda: conjunctive_rank_of_canonical(canonicalize(d)),
+                     lambda: conjunctive_rank(d)):
+            with pytest.raises(SizeLimitExceeded) as err:
+                call()
+            assert err.value.projected == 31
+        assert time.perf_counter() - start < 1
+        # the cap is per component: two components of 10 sources each answer
+        c = canonicalize(zigzag(9))
+        assert 2 * len(c.sources) > CONJUNCTIVE_SOURCE_CAP
+        assert conjunctive_rank_of_canonical(disjoint_union(c, c)) == \
+            conjunctive_rank_of_canonical(c) ** 2
 
     def test_pieces_partition_the_graph(self):
         rng = random.Random(72)
@@ -320,6 +351,25 @@ class TestAbsoluteBounds:
         b = absolute_minrank_bounds(fx.C3)
         assert (b.lower, b.upper, b.exact) == (8, 8, True)
         assert minrank_exact(fx.C3, 2) == minrank_exact(fx.C3, 3) == 8
+
+    def test_lower_end_falls_back_to_the_chain_bound(self):
+        # 17 sinks in one component: the product bound is refused, the chain answers
+        c = canonicalize(zigzag(17))
+        with pytest.raises(SizeLimitExceeded):
+            product_bound(c)
+        b = absolute_minrank_bounds(zigzag(17))
+        assert b.lower == chain_bound(c) == 18
+        # the path's conflict graph has Fibonacci many independent sets
+        assert b.upper == independent_set_bound(c) == 4181
+
+    def test_upper_end_uses_the_independent_set_count_past_the_source_cap(self):
+        d = pairs_and_triples(CONJUNCTIVE_SOURCE_CAP + 1 - 15)
+        c = canonicalize(d)
+        assert len(c.sources) == CONJUNCTIVE_SOURCE_CAP + 1 and len(_pieces(c)) == 1
+        with pytest.raises(SizeLimitExceeded):
+            conjunctive_rank_of_canonical(c)
+        b = absolute_minrank_bounds(d)
+        assert (b.lower, b.upper) == (product_bound(c), independent_set_bound(c))
 
     def test_disjoint_union_multiplies(self):
         a, c = fx.P1, fx.C3

@@ -66,6 +66,37 @@ class TestAnalyze:
         assert doc["canonical"]["status"] == "ok"
         assert doc["canonical"]["L"] == 22 and doc["canonical"]["Lp"] == 2 ** 21
 
+    @staticmethod
+    def zigzag_file(tmp_path, k):
+        # sink i reads sources i and i + 1: one component of k + 1 sources, k sinks
+        path = tmp_path / f"zigzag{k}.graph"
+        path.write_text(format_digraph(
+            Digraph(2 * k + 1, [(i + s, k + 1 + i) for i in range(1, k + 1) for s in (0, 1)])))
+        return str(path)
+
+    def test_each_bound_answers_or_is_skipped_on_its_own(self, capsys, tmp_path):
+        # 17 sinks: past the product bound's cap of 16, within the chain's 20
+        rc, doc = run_json(capsys, ["analyze", self.zigzag_file(tmp_path, 17), "--q", "2"])
+        assert rc == 0
+        canonical = doc["canonical"]
+        assert canonical["L"] == 18 and canonical["U"] == 4181
+        assert canonical["Lp"]["status"] == "skipped(size)"
+        assert canonical["Lp"]["projected"] == 17
+        assert canonical["tight"] is False
+        assert doc["minrank"]["lower"] == 18 and doc["minrank"]["upper"] == 4181
+
+    def test_refused_bounds_are_refused_at_once(self, capsys, tmp_path):
+        # 31 sources and 30 sinks: the chain, product and conjunctive counts refuse
+        start = time.perf_counter()
+        rc, doc = run_json(capsys, ["analyze", self.zigzag_file(tmp_path, 30), "--q", "2"])
+        assert time.perf_counter() - start < 1
+        assert rc == 0
+        assert doc["conjunctive_rank"]["status"] == "skipped(size)"
+        assert doc["conjunctive_rank"]["projected"] == 31
+        canonical = doc["canonical"]
+        assert canonical["tight"] == canonical["L"] and canonical["L"]["projected"] == 30
+        assert isinstance(canonical["U"], int)
+
     def test_sections_marked_skipped_not_absent(self, capsys, star3_file):
         rc, doc = run_json(
             capsys, ["analyze", star3_file, "--q", "2", "--max-funcs", "10"]

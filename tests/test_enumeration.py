@@ -6,10 +6,13 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fdsrank
 import oracles
@@ -95,16 +98,19 @@ class TestEnumerateStats:
             enumerate_stats(dense, 2, strict=False, max_funcs=1000)
         assert err.value.projected == 2 ** 24
 
-    def test_cell_guard_prices_the_padded_tensor(self, monkeypatch):
-        # vertex 1 ranges over 2^16 tables, the other three over 2 each: the
-        # rows hold (2^16 + 6) * 16 cells, the padded tensor 4 * 2^16 * 16
+    def test_byte_guard_prices_the_sweep_setup(self, monkeypatch):
+        # vertex 1 ranges over 2^16 tables of 16 cells, the other three over
+        # 2 constants: a one-byte padded tensor of 4 * 2^16 * 16 cells, one
+        # vertex's one-byte gather of 2^16 * 16, the one-byte tables of
+        # 2^16 * 16 + 2, and the int64 digit matrix of the largest
         d = Digraph(4, [(u, 1) for u in range(1, 5)])
-        rows, padded = (2 ** 16 + 6) * 16, 4 * 2 ** 16 * 16
-        monkeypatch.setattr(enumeration, "TABLE_CELL_CAP", 2 * rows)
-        assert rows < enumeration.TABLE_CELL_CAP < padded
+        priced = (4 + 1 + 1 + 8) * 2 ** 20 + 2
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced - 1)
         with pytest.raises(SizeLimitExceeded) as err:
             enumerate_stats(d, 2)
-        assert err.value.projected == rows + padded
+        assert err.value.projected == priced
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced)
+        assert enumeration.price_family(d, 2, False, 10 ** 8, 2 ** 24) == (2 ** 19, 16)
 
     def test_one_guard_prices_every_sweep(self):
         d = fx.STAR3
@@ -119,10 +125,10 @@ class TestEnumerateStats:
 
     @pytest.mark.parametrize("cap", [200, 5_000, 100_000])
     def test_digit_guard_never_refuses_a_priced_sweep(self, monkeypatch, cap):
-        # a sweep's tables are digits(q, q^d); under one shared cap, every
-        # family price_family accepts materializes them without a refusal
-        monkeypatch.setattr(enumeration, "TABLE_CELL_CAP", cap)
-        monkeypatch.setattr(fds, "TABLE_CELL_CAP", cap)
+        # a sweep's tables are digits(q, q^d); under one shared byte cap,
+        # every family price_family accepts materializes them without a refusal
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", cap)
+        monkeypatch.setattr(fds, "TABLE_BYTE_CAP", cap)
         accepted = 0
         for q in (2, 3, 4, 5):
             for d in range(4):
@@ -154,12 +160,87 @@ class TestEnumerateStats:
             assert report.rank.maximum == max(ranks)
             assert report.fixed_points.average == Fraction(sum(fixes), len(fixes))
 
+    # set-ups of at least 1 MiB: below that, Python objects and numpy's ufunc
+    # buffers (a few KiB to 64 KiB, whatever the family) dominate the peak,
+    # and no guard is needed there
+    SETUPS = [
+        (2, Digraph(4, [(u, 1) for u in range(1, 5)])),
+        (2, Digraph(4, [(u, v) for u in range(1, 5) for v in (1, 2)] + [(1, 3)])),
+        (3, Digraph(2, [(1, 1), (2, 1), (2, 2)])),
+        (3, Digraph(3, [(1, 1), (2, 1), (1, 2)])),
+        (3, Digraph(3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])),
+    ]
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+    @pytest.mark.parametrize("q,d", SETUPS, ids=[f"{q}^{d.n}-{d.m}" for q, d in SETUPS])
+    def test_priced_bytes_cover_the_setup_peak(self, monkeypatch, q, d, strict):
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", 0)
+        with pytest.raises(SizeLimitExceeded) as err:
+            enumeration.price_family(d, q, strict, math.inf, 1 << 24)
+        enumeration._all_tables.cache_clear()
+        enumeration._essential_selector.cache_clear()
+        tracemalloc.start()
+        try:
+            enumeration._sweep_tensor(d, q, strict)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.projected >= peak >= 1 << 20
+
     def test_json_round_stable(self):
         import json
 
         a = enumerate_stats(fx.C3, 2, strict=True).to_json_dict()
         b = enumerate_stats(fx.C3, 2, strict=True).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _essential(table, q, k):
+    """Whether a little-endian table on k inputs changes along each input."""
+    return all(
+        any(table[i] != table[i - (i // q ** j % q - c) * q ** j]
+            for i in range(q ** k) for c in range(q))
+        for j in range(k)
+    )
+
+
+def _oracle_stats(d, q, strict):
+    """Histograms of rank, periodic rank and fixed points over the explicit table product."""
+    ins = [sorted(d.in_neighbors(v)) for v in d.vertices()]
+    choices = []
+    for inputs in ins:
+        tables = [list(t) for t in itertools.product(range(q), repeat=q ** len(inputs))]
+        choices.append([t for t in tables if not strict or _essential(t, q, len(inputs))])
+    hists = (Counter(), Counter(), Counter())
+    for tables in itertools.product(*choices):
+        f = make_fds(d.n, q, ins, tables)
+        hists[0][oracles.brute_rank(f)] += 1
+        hists[1][oracles.brute_periodic_rank(f)] += 1
+        hists[2][len(oracles.brute_fixed_points(f))] += 1
+    return hists
+
+
+# every (graph, alphabet, family) with n <= 3 of at most 2000 systems
+SMALL_FAMILIES = [
+    (d, q, strict)
+    for n in (1, 2, 3) for d in small_digraphs(n) for q in (2, 3) for strict in (False, True)
+    if family_size(d, q, strict) <= 2000
+]
+
+
+@given(st.sampled_from(SMALL_FAMILIES))
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_the_explicit_table_product(family):
+    d, q, strict = family
+    report = enumerate_stats(d, q, strict=strict)
+    hists = _oracle_stats(d, q, strict)
+    total = sum(hists[0].values())
+    assert report.function_count == total
+    for stats, hist in zip(report.quantities().values(), hists):
+        assert stats.histogram == dict(hist)
+        assert (stats.minimum, stats.maximum) == (min(hist), max(hist))
+        assert stats.average == Fraction(sum(v * c for v, c in hist.items()), total)
+    assert report.fixed_point_free_fraction == Fraction(hists[2][0], total)
 
 
 class TestMinrankExact:

@@ -13,7 +13,7 @@ from fdsrank.errors import (
     ValueOutOfRange,
 )
 from fdsrank.fds import (
-    TABLE_CELL_CAP,
+    TABLE_BYTE_CAP,
     digits,
     fixed_points,
     format_fds,
@@ -83,10 +83,10 @@ class TestStateSerialization:
         assert digits(3, 0).shape == (1, 0)
 
     def test_digit_matrix_is_priced_before_it_is_made(self):
-        # 10^10 rows: refused with the cell count, nothing allocated
+        # 10^10 rows: refused with the byte count, 8 a cell, nothing allocated
         with pytest.raises(SizeLimitExceeded) as err:
             digits(10 ** 5, 2)
-        assert err.value.projected == 2 * 10 ** 10 > TABLE_CELL_CAP
+        assert err.value.projected == 8 * 2 * 10 ** 10 > TABLE_BYTE_CAP
         assert digits(2, 16).shape == (2 ** 16, 16)
 
 

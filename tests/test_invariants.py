@@ -72,6 +72,12 @@ class TestCyclePacking:
     def test_empty(self):
         assert cycle_packing_number(fx.E3) == 0
 
+    def test_looped_complete_four(self):
+        # 24 simple cycles; the four loops are the only packing of size 4
+        k4 = fx.add_loops(fx.complete(4))
+        assert oracles.brute_cycle_packing(k4) == 4
+        assert cycle_packing_number(k4) == 4
+
     @given(digraphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, d):

@@ -7,7 +7,7 @@ import pytest
 
 from fdsrank import kernels
 from fdsrank.digraph import Digraph
-from fdsrank.enumeration import _vertex_value_rows
+from fdsrank.enumeration import _sweep_tensor
 
 
 def reference_histograms(w, counts, n_states):
@@ -44,10 +44,10 @@ def random_digraph(rng, n, q):
 
 def random_family(rng, n, q, strict, max_systems):
     """Weighted rows of a random digraph's family, each vertex's tables subsampled."""
-    rows = _vertex_value_rows(random_digraph(rng, n, q), q, strict)
+    w, counts = _sweep_tensor(random_digraph(rng, n, q), q, strict)
     cap = max(2, int(max_systems ** (1 / n)))
-    rows = [r[np.sort(rng.choice(r.shape[0], size=min(cap, r.shape[0]), replace=False))]
-            * q ** v for v, r in enumerate(rows)]
+    rows = [w[v, np.sort(rng.choice(c, size=min(cap, c), replace=False))]
+            for v, c in enumerate(counts)]
     return stack(rows, q ** n)
 
 
