@@ -1,6 +1,6 @@
 """Exhaustive statistics over all systems with a prescribed interaction graph.
 
-``enumerate_stats`` sweeps the full table product for a digraph: the strict
+``enumerate_stats`` sweeps the table product for a digraph: the strict
 family fixes the interaction graph exactly (every local table must depend
 essentially on each declared input), the loose family only requires
 containment. Averages are exact rationals. The sweep and ``minrank_exact``
@@ -9,6 +9,24 @@ read one narrow tensor, built by :func:`_sweep_tensor`. One guard,
 function-count guard (``DEFAULT_MAX_FUNCS`` unless the caller passes
 ``max_funcs``), the state-space guard of :mod:`fds`, and a cap on the bytes
 the sweep set-up allocates.
+
+The sweep visits one table of the outermost vertex v0 (most tables, lowest
+index) per orbit of alphabet relabelling, and weights it by the orbit size
+(Burnside's lemma). The group is S_q on each coordinate of {v0} and the
+inputs of v0; σ acts on a table t of v0 by (σ·t)(x) = σ_v0(t(σ⁻¹x)), and
+when v0 reads itself one σ_v0 moves both its input digit and its output.
+This is exact:
+
+- conjugating a system by σ (σ ∘ f ∘ σ⁻¹, identity on the other
+  coordinates) maps the family onto itself: it keeps every local table's
+  inputs, and it keeps essential dependence, so strict tables stay strict;
+- it sends the systems with t at v0 onto those with σ·t at v0;
+- it keeps rank, periodic rank and the number of fixed points.
+
+So the histograms H(t) of the systems with t at v0 satisfy H(t) = H(σ·t),
+and the family's histograms are the sum over orbit representatives of the
+orbit size times H. ``minrank_exact`` tries one table per orbit at its
+first vertex by the same argument.
 """
 
 from __future__ import annotations
@@ -56,6 +74,61 @@ def _essential_selector(q: int, d: int) -> np.ndarray:
     for j in range(d):
         keep &= depends_on(tables, q, j)
     return np.nonzero(keep)[0]
+
+
+@lru_cache(maxsize=64)
+def _table_orbits(q: int, k: int, self_pos: int | None) -> np.ndarray:
+    """For every table on k inputs, the least code in its alphabet orbit.
+
+    A table's code is its row in ``_all_tables(q, k)``. The group permutes
+    the alphabet on each input digit and on the output; input ``self_pos``
+    (the vertex reading itself) shares one permutation with the output. It
+    is generated by adjacent transpositions, each its own inverse, so the
+    code a generator sends every table to is one gather index. Labels take
+    the least label across each generator, then jump to their own label's
+    label, until a round moves none. Orbits never mix essential and
+    inessential tables, so one labelling serves both families.
+    """
+    moves = _orbit_moves(q, k, self_pos)
+    label = np.arange(q ** (q ** k), dtype=moves[0].dtype)
+    while True:
+        before = label.copy()
+        for move in moves:
+            np.minimum(label, label[move], out=label)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
+def _orbit_moves(q: int, k: int, self_pos: int | None) -> list[np.ndarray]:
+    """The code each generator of :func:`_table_orbits` sends every table to.
+
+    Codes are held in the narrowest unsigned dtype that holds them.
+    """
+    tables = _all_tables(q, k)
+    code_type = np.min_scalar_type(tables.shape[0] - 1)
+    cells = np.arange(q ** k, dtype=np.int64)
+    weight = (q ** cells).astype(code_type)
+    # (input digit or None, whether it moves the output) for each permuted coordinate
+    coords = [(j, j == self_pos) for j in range(k)] + [(None, True)] * (self_pos is None)
+    moves = []
+    for j, output in coords:
+        for a in range(q - 1):
+            swap = np.arange(q, dtype=np.int64)
+            swap[[a, a + 1]] = a + 1, a
+            # (τ·t)(x) = τ_out(t(τ_in x)): the value of cell y lands in cell τ_in y
+            moved = cells
+            if j is not None:
+                digit = cells // q ** j % q
+                moved = cells + (swap[digit] - digit) * q ** j
+            narrow = swap.astype(tables.dtype)
+            code = np.zeros(tables.shape[0], dtype=code_type)
+            for y in cells:  # one cell at a time: no wide copy of the table matrix
+                column = tables[:, y]
+                code += (narrow[column] if output else column) * weight[moved[y]]
+            moves.append(code)
+    return moves
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +233,10 @@ def price_family(
 
     The guards are on systems, states and the bytes the sweep set-up
     allocates: the padded tensor, one vertex's gather (tables x states), the
-    narrow table matrices and the int64 digit matrix the largest is decoded
-    from. ``max_funcs`` is an already resolved limit.
+    narrow table matrices, the int64 digit matrix the largest is decoded
+    from, and the orbit step: one code column of at most 8 bytes a table per
+    generator for a vertex's table matrix, plus three working columns. ``max_funcs`` is an
+    already resolved limit.
     """
     counts = _table_counts(d, q, strict)
     total = math.prod(counts)
@@ -171,8 +246,11 @@ def price_family(
         )
     n_states = check_states(d.n, q, max_states)
     value, state = (np.min_scalar_type(x - 1).itemsize for x in (q, n_states))
-    cells = [q ** (q ** k) * q ** k for k in {len(ins) for ins in d.in_map().values()}]
-    nbytes = (d.n * state + value) * max(counts) * n_states + value * sum(cells) + 8 * max(cells)
+    ins = d.in_map()
+    cells = [q ** (q ** k) * q ** k for k in {len(i) for i in ins.values()}]
+    orbit = max(8 * q ** (q ** len(i)) * ((q - 1) * len(i | {v}) + 3) for v, i in ins.items())
+    nbytes = ((d.n * state + value) * max(counts) * n_states + value * sum(cells)
+              + 8 * max(cells) + orbit)
     if nbytes > TABLE_BYTE_CAP:
         raise SizeLimitExceeded(
             f"sweep set-up needs {nbytes} bytes, over {TABLE_BYTE_CAP}", projected=nbytes
@@ -180,21 +258,43 @@ def price_family(
     return total, n_states
 
 
-def _sweep_tensor(d: Digraph, q: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Padded tensor ``w`` and live row counts: ``w[v, t]`` is table t of vertex v+1 times q^v."""
+def _sweep_tensor(
+    d: Digraph, q: int, strict: bool, v0: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Padded tensor ``w``, live row counts and the runs of vertex v0+1's rows.
+
+    ``w[v, t]`` is table t of vertex v+1 times q^v. Vertex v0+1 keeps one
+    table per alphabet orbit, the least code, grouped by orbit size: the
+    runs are (orbit size, rows) in row order, sizes increasing.
+    """
     ins = d.in_map()
-    counts = np.array(_table_counts(d, q, strict), dtype=np.int64)
-    for k in {len(i) for i in ins.values()}:  # free each int64 digit matrix before w exists
+    inputs = [sorted(ins[v]) for v in d.vertices()]
+    for k in {len(i) for i in inputs}:  # free each int64 digit matrix before w exists
         (_essential_selector if strict else _all_tables)(q, k)
+    k0 = len(inputs[v0])
+    self_pos = inputs[v0].index(v0 + 1) if v0 + 1 in ins[v0 + 1] else None
+    label = _table_orbits(q, k0, self_pos)
+    sizes = np.bincount(label, minlength=label.size)
+    live = sizes > 0
+    if strict:
+        essential = np.zeros_like(live)
+        essential[_essential_selector(q, k0)] = True
+        live &= essential
+    by_size = {size: np.flatnonzero(live & (sizes == size))
+               for size in sorted(set(sizes[live].tolist()))}
+    reps = np.concatenate(list(by_size.values()))
+    counts = np.array(_table_counts(d, q, strict), dtype=np.int64)
+    counts[v0] = reps.size
     w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.min_scalar_type(q ** d.n - 1))
     for v in range(d.n):
-        inputs = sorted(ins[v + 1])
-        tables = _all_tables(q, len(inputs))
-        if strict:
-            tables = tables[_essential_selector(q, len(inputs))]
-        np.multiply(tables[:, input_index(d.n, q, inputs)], w.dtype.type(q ** v),
+        tables = _all_tables(q, len(inputs[v]))
+        if v == v0:
+            tables = tables[reps]
+        elif strict:
+            tables = tables[_essential_selector(q, len(inputs[v]))]
+        np.multiply(tables[:, input_index(d.n, q, inputs[v])], w.dtype.type(q ** v),
                     out=w[v, : counts[v]], casting="unsafe")
-    return w, counts
+    return w, counts, [(size, rows.size) for size, rows in by_size.items()]
 
 
 def enumerate_stats(
@@ -211,7 +311,16 @@ def enumerate_stats(
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
     total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    hists = kernels.family_histograms(*_sweep_tensor(d, q, strict), n_states)
+    v0 = int(np.argmax(_table_counts(d, q, strict)))
+    w, counts, runs = _sweep_tensor(d, q, strict, v0)
+    hists = np.zeros((3, n_states + 1), dtype=np.int64)
+    start = 0
+    for size, run in runs:
+        # the kernel reads the first counts[v0] rows: move this size's run there
+        w[v0, :run] = w[v0, start : start + run]
+        counts[v0] = run
+        hists += size * np.array(kernels.family_histograms(w, counts, n_states))
+        start += run
     # the only guard against a kernel that drops or double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
         if int(hist.sum()) != total:
@@ -254,7 +363,8 @@ def minrank_exact(
         return incumbent
 
     ins = d.in_map()
-    w, counts = _sweep_tensor(d, q, strict=True)
+    # vertex 1 tries one table per alphabet orbit: conjugation keeps the rank
+    w, counts, _runs = _sweep_tensor(d, q, True, 0)
 
     # product factors for suffixes whose coordinates are disjoint from the prefix
     factors = [1] * (d.n + 1)

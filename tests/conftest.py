@@ -1,9 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from fdsrank.bounds import entropy_report
 from fdsrank.digraph import Digraph
+from fdsrank.enumeration import _all_tables, _essential_selector, _table_counts
+from fdsrank.fds import input_index
 
 
 @pytest.fixture(autouse=True)
@@ -27,3 +30,20 @@ def random_digraph(rng, n_max=4, p=0.4):
 
 def all_tables(q, d):
     return itertools.product(range(q), repeat=q ** d)
+
+
+def unreduced_tensor(d, q, strict):
+    """The whole table product as one padded tensor and live row counts.
+
+    ``w[v, t]`` is table t of vertex v+1 (in code order, essential tables
+    only if strict) times q^v: the sweep with no orbit reduction.
+    """
+    counts = np.array(_table_counts(d, q, strict), dtype=np.int64)
+    w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.int64)
+    for v in range(d.n):
+        inputs = sorted(d.in_neighbors(v + 1))
+        tables = _all_tables(q, len(inputs))
+        if strict:
+            tables = tables[_essential_selector(q, len(inputs))]
+        w[v, : counts[v]] = tables[:, input_index(d.n, q, inputs)].astype(np.int64) * q ** v
+    return w, counts

@@ -252,6 +252,36 @@ def brute_isomorphic(d1, d2) -> bool:
     return False
 
 
+def brute_table_orbits(q, k, self_pos) -> list[int]:
+    """For every table code on k inputs, the least code in its relabelling orbit.
+
+    A table is coded sum(t[x] * q^x), cell x being little-endian in its k
+    input digits. Every element of the group is applied directly: one
+    alphabet permutation per input digit, and one for the output, which is
+    input ``self_pos``'s own permutation when that is not None. The image
+    of t takes the value sigma_out(t[x]) at the cell whose digits are the
+    permuted digits of x.
+    """
+    cells = q ** k
+    cell_digits = [[x // q ** j % q for j in range(k)] for x in range(cells)]
+    coords = k + (self_pos is None)
+    group = list(itertools.product(itertools.permutations(range(q)), repeat=coords))
+    label = [None] * q ** cells
+    for code in range(q ** cells):
+        if label[code] is not None:
+            continue
+        table = [code // q ** x % q for x in range(cells)]
+        for sigma in group:
+            out = sigma[k if self_pos is None else self_pos]
+            image = 0
+            for x in range(cells):
+                moved = sum(sigma[j][cell_digits[x][j]] * q ** j for j in range(k))
+                image += out[table[x]] * q ** moved
+            # codes are visited in order, so the first of an orbit is its least
+            label[image] = code
+    return label
+
+
 # --- dict-based system evaluation (independent of the numpy paths) ---------
 
 def eval_map(f) -> dict[tuple, tuple]:

@@ -11,13 +11,14 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fdsrank
 import oracles
-from conftest import small_digraphs
-from fdsrank import enumeration, fds
+from conftest import small_digraphs, unreduced_tensor
+from fdsrank import enumeration, fds, kernels
 from fdsrank import fixtures as fx
 from fdsrank.digraph import Digraph, structure_stats
 from fdsrank.enumeration import (
@@ -102,9 +103,11 @@ class TestEnumerateStats:
         # vertex 1 ranges over 2^16 tables of 16 cells, the other three over
         # 2 constants: a one-byte padded tensor of 4 * 2^16 * 16 cells, one
         # vertex's one-byte gather of 2^16 * 16, the one-byte tables of
-        # 2^16 * 16 + 2, and the int64 digit matrix of the largest
+        # 2^16 * 16 + 2, the int64 digit matrix of the largest, and the orbit
+        # step's code columns over vertex 1's tables at 8 bytes a table: one
+        # for each of its 4 generators (it reads itself) and 3 working columns
         d = Digraph(4, [(u, 1) for u in range(1, 5)])
-        priced = (4 + 1 + 1 + 8) * 2 ** 20 + 2
+        priced = (4 + 1 + 1 + 8) * 2 ** 20 + 2 + 8 * 2 ** 16 * (4 + 3)
         monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced - 1)
         with pytest.raises(SizeLimitExceeded) as err:
             enumerate_stats(d, 2)
@@ -179,9 +182,10 @@ class TestEnumerateStats:
             enumeration.price_family(d, q, strict, math.inf, 1 << 24)
         enumeration._all_tables.cache_clear()
         enumeration._essential_selector.cache_clear()
+        enumeration._table_orbits.cache_clear()
         tracemalloc.start()
         try:
-            enumeration._sweep_tensor(d, q, strict)
+            enumeration._sweep_tensor(d, q, strict, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -243,6 +247,66 @@ def test_sweep_matches_the_explicit_table_product(family):
     assert report.fixed_point_free_fraction == Fraction(hists[2][0], total)
 
 
+# every (q, k, self_pos) with q <= 6 and at most 20000 tables on k inputs
+ORBIT_CASES = [
+    (q, k, self_pos)
+    for q in range(2, 7) for k in range(4) if q ** (q ** k) <= 20000
+    for self_pos in [None, *range(k)]
+]
+
+
+class TestTableOrbits:
+    @pytest.mark.parametrize("q,k,self_pos", ORBIT_CASES,
+                             ids=[f"q{q}-k{k}-{s}" for q, k, s in ORBIT_CASES])
+    def test_matches_the_whole_group(self, q, k, self_pos):
+        label = enumeration._table_orbits(q, k, self_pos)
+        assert label.tolist() == oracles.brute_table_orbits(q, k, self_pos)
+        sizes = np.bincount(label)
+        sizes = sizes[sizes > 0]
+        assert sizes.sum() == q ** (q ** k)
+        order = math.factorial(q) ** (k + (self_pos is None))
+        assert all(order % int(s) == 0 for s in sizes)
+
+    @pytest.mark.parametrize("q,k,self_pos,loose,strict", [
+        (2, 3, 0, 46, 33), (2, 3, 2, 46, 33), (3, 2, None, 139, None), (3, 2, 0, 638, None),
+    ])
+    def test_orbit_counts(self, q, k, self_pos, loose, strict):
+        reps = np.unique(enumeration._table_orbits(q, k, self_pos))
+        assert reps.size == loose
+        if strict is not None:
+            essential = enumeration._essential_selector(q, k)
+            assert np.intersect1d(reps, essential).size == strict
+
+    def test_orbits_never_mix_essential_and_inessential_tables(self):
+        for q, k, self_pos in ORBIT_CASES:
+            label = enumeration._table_orbits(q, k, self_pos)
+            essential = np.zeros(label.size, dtype=bool)
+            essential[enumeration._essential_selector(q, k)] = True
+            assert np.array_equal(essential, essential[label])
+
+
+LOOPED_K3 = Digraph(3, [(u, v) for u in (1, 2, 3) for v in (1, 2, 3)])
+
+# every (graph, alphabet, family) with n <= 3 whose unreduced sweep is quick
+REDUCIBLE_FAMILIES = [
+    (d, q, strict)
+    for n in (1, 2, 3) for d in small_digraphs(n) for q in (2, 3) for strict in (False, True)
+    if family_size(d, q, strict) <= 300_000
+]
+
+
+@given(st.sampled_from(REDUCIBLE_FAMILIES))
+@example((LOOPED_K3, 2, False))
+@example((LOOPED_K3, 2, True))
+@settings(max_examples=40, deadline=None)
+def test_orbit_sweep_equals_the_unreduced_sweep(family):
+    d, q, strict = family
+    report = enumerate_stats(d, q, strict=strict)
+    hists = kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n)
+    for stats, hist in zip(report.quantities().values(), hists):
+        assert stats.histogram == {int(v): int(c) for v, c in enumerate(hist) if c}
+
+
 class TestMinrankExact:
     def test_examples(self):
         assert minrank_exact(fx.STAR3, 2) == 5
@@ -250,12 +314,13 @@ class TestMinrankExact:
         assert minrank_exact(fx.E3, 2) == 1
 
     def test_agrees_with_enumeration(self):
-        rng = random.Random(47)
-        for _ in range(25):
-            n = rng.randint(1, 3)
-            pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
-            d = Digraph(n, [p for p in pairs if rng.random() < 0.5])
-            assert minrank_exact(d, 2) == enumerate_stats(d, 2, strict=True).rank.minimum
+        # the search tries one table per alphabet orbit at vertex 1, the sweep
+        # all of them: every digraph with n <= 3 at q=2 and n <= 2 at q=3
+        families = [(d, 2) for n in (1, 2, 3) for d in small_digraphs(n)]
+        families += [(d, 3) for n in (1, 2) for d in small_digraphs(n)]
+        for d, q in families:
+            swept = enumerate_stats(d, q, strict=True, max_funcs=math.inf)
+            assert minrank_exact(d, q) == swept.rank.minimum, (d, q)
 
     def test_monotone_in_alphabet_on_two_vertex_graphs(self):
         for d in small_digraphs(2):
@@ -324,8 +389,10 @@ def test_kernel_dropping_a_system_raises_typed_error_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run([sys.executable, "-O", "-c", DROP_ONE_SYSTEM], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
+    # vertex 1 of C3 has four tables in two orbits of two (constants, and
+    # identity with negation): one kernel call weighted 2, so the drop costs 2
     assert out.splitlines() == [
-        f"{name} histogram counts 63 systems, family has 64"
+        f"{name} histogram counts 62 systems, family has 64"
         for name in ("rank", "periodic rank", "fixed point")
     ]
 

@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import unreduced_tensor
 from fdsrank import kernels
 from fdsrank.digraph import Digraph
-from fdsrank.enumeration import _sweep_tensor
 
 
 def reference_histograms(w, counts, n_states):
@@ -44,7 +44,7 @@ def random_digraph(rng, n, q):
 
 def random_family(rng, n, q, strict, max_systems):
     """Weighted rows of a random digraph's family, each vertex's tables subsampled."""
-    w, counts = _sweep_tensor(random_digraph(rng, n, q), q, strict)
+    w, counts = unreduced_tensor(random_digraph(rng, n, q), q, strict)
     cap = max(2, int(max_systems ** (1 / n)))
     rows = [w[v, np.sort(rng.choice(c, size=min(cap, c), replace=False))]
             for v, c in enumerate(counts)]

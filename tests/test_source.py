@@ -147,3 +147,28 @@ def test_every_export_is_reached_from_the_commands():
     dead = sorted(f"{mod}.{name}" for mod, name in imported["__init__"].values()
                   if (mod, name) not in reached)
     assert dead == [], f"exports that no command or verify check reaches: {dead}"
+
+
+def test_one_sweep_path_through_the_orbit_reduction():
+    # the kernel is called from one place, inside enumerate_stats, which
+    # always sweeps orbit representatives: no parameter, flag or environment
+    # variable turns the reduction off, and the unreduced product lives on
+    # only as a test oracle
+    calls, environ = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {node: getattr(top, "name", "<module>")
+                 for top in tree.body for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == "family_histograms":
+                calls.append((path.name, owner[node]))
+            if path.name == "enumeration.py" and getattr(node, "attr", None) in ("environ", "getenv"):
+                environ.append(node.lineno)
+    assert calls == [("enumeration.py", "enumerate_stats")]
+    assert environ == []
+    tree = ast.parse((SRC / "enumeration.py").read_text(encoding="utf-8"))
+    params = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
+              for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert params["enumerate_stats"] == ["d", "q", "strict", "max_funcs", "max_states"]
+    assert params["_sweep_tensor"] == ["d", "q", "strict", "v0"]
