@@ -25,8 +25,9 @@ This is exact:
 
 So the histograms H(t) of the systems with t at v0 satisfy H(t) = H(σ·t),
 and the family's histograms are the sum over orbit representatives of the
-orbit size times H. ``minrank_exact`` tries one table per orbit at its
-first vertex by the same argument.
+orbit size times H. ``minrank_exact`` tries one table per orbit at the
+same vertex by the same argument: every system has a conjugate of equal
+rank whose table there is an orbit's representative.
 """
 
 from __future__ import annotations
@@ -232,11 +233,13 @@ def price_family(
     """Systems and states of a family sweep; refuses the sweep over any guard.
 
     The guards are on systems, states and the bytes the sweep set-up
-    allocates: the padded tensor, one vertex's gather (tables x states), the
-    narrow table matrices, the int64 digit matrix the largest is decoded
-    from, and the orbit step: one code column of at most 8 bytes a table per
-    generator for a vertex's table matrix, plus three working columns. ``max_funcs`` is an
-    already resolved limit.
+    allocates. First the tables: the narrow table matrices, the int64 digit
+    matrix the largest is decoded from, and the orbit step, one code column
+    of at most 8 bytes a table per generator for a vertex's table matrix,
+    plus three working columns. When those fit, the orbit labelling (cached
+    for the set-up) gives the rows of :func:`_reduced_vertex`, and the padded
+    tensor and one vertex's gather (rows x states) are priced at the rows
+    the set-up keeps. ``max_funcs`` is an already resolved limit.
     """
     counts = _table_counts(d, q, strict)
     total = math.prod(counts)
@@ -249,13 +252,46 @@ def price_family(
     ins = d.in_map()
     cells = [q ** (q ** k) * q ** k for k in {len(i) for i in ins.values()}]
     orbit = max(8 * q ** (q ** len(i)) * ((q - 1) * len(i | {v}) + 3) for v, i in ins.items())
-    nbytes = ((d.n * state + value) * max(counts) * n_states + value * sum(cells)
-              + 8 * max(cells) + orbit)
+    nbytes = value * sum(cells) + 8 * max(cells) + orbit
+    if nbytes <= TABLE_BYTE_CAP:
+        v0 = _reduced_vertex(d, q, strict)
+        counts[v0] = sum(rows.size for rows in _orbit_representatives(d, q, strict, v0).values())
+        nbytes += (d.n * state + value) * max(counts) * n_states
     if nbytes > TABLE_BYTE_CAP:
         raise SizeLimitExceeded(
             f"sweep set-up needs {nbytes} bytes, over {TABLE_BYTE_CAP}", projected=nbytes
         )
     return total, n_states
+
+
+def _reduced_vertex(d: Digraph, q: int, strict: bool) -> int:
+    """The vertex, from 0, whose tables the sweep and the search cut to one
+    per alphabet orbit: the one with most tables, lowest index first."""
+    return int(np.argmax(_table_counts(d, q, strict)))
+
+
+def _orbit_representatives(d: Digraph, q: int, strict: bool, v0: int) -> dict[int, np.ndarray]:
+    """Vertex v0+1's table codes that lead their alphabet orbit, by orbit size."""
+    inputs = sorted(d.in_neighbors(v0 + 1))
+    return _orbit_leaders(q, len(inputs), inputs.index(v0 + 1) if v0 + 1 in inputs else None,
+                          strict)
+
+
+@lru_cache(maxsize=64)
+def _orbit_leaders(q: int, k: int, self_pos: int | None, strict: bool) -> dict[int, np.ndarray]:
+    """Codes of the tables on k inputs that lead their orbit, by orbit size.
+
+    Sizes increase; strict keeps the essential tables only.
+    """
+    label = _table_orbits(q, k, self_pos)
+    sizes = np.bincount(label, minlength=label.size)
+    live = sizes > 0
+    if strict:
+        essential = np.zeros_like(live)
+        essential[_essential_selector(q, k)] = True
+        live &= essential
+    return {size: np.flatnonzero(live & (sizes == size))
+            for size in sorted(set(sizes[live].tolist()))}
 
 
 def _sweep_tensor(
@@ -271,17 +307,7 @@ def _sweep_tensor(
     inputs = [sorted(ins[v]) for v in d.vertices()]
     for k in {len(i) for i in inputs}:  # free each int64 digit matrix before w exists
         (_essential_selector if strict else _all_tables)(q, k)
-    k0 = len(inputs[v0])
-    self_pos = inputs[v0].index(v0 + 1) if v0 + 1 in ins[v0 + 1] else None
-    label = _table_orbits(q, k0, self_pos)
-    sizes = np.bincount(label, minlength=label.size)
-    live = sizes > 0
-    if strict:
-        essential = np.zeros_like(live)
-        essential[_essential_selector(q, k0)] = True
-        live &= essential
-    by_size = {size: np.flatnonzero(live & (sizes == size))
-               for size in sorted(set(sizes[live].tolist()))}
+    by_size = _orbit_representatives(d, q, strict, v0)
     reps = np.concatenate(list(by_size.values()))
     counts = np.array(_table_counts(d, q, strict), dtype=np.int64)
     counts[v0] = reps.size
@@ -311,7 +337,7 @@ def enumerate_stats(
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
     total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    v0 = int(np.argmax(_table_counts(d, q, strict)))
+    v0 = _reduced_vertex(d, q, strict)
     w, counts, runs = _sweep_tensor(d, q, strict, v0)
     hists = np.zeros((3, n_states + 1), dtype=np.int64)
     start = 0
@@ -363,8 +389,9 @@ def minrank_exact(
         return incumbent
 
     ins = d.in_map()
-    # vertex 1 tries one table per alphabet orbit: conjugation keeps the rank
-    w, counts, _runs = _sweep_tensor(d, q, True, 0)
+    # the sweep's reduced vertex tries one table per alphabet orbit: conjugation
+    # keeps the rank and the family, so some minimizer has a representative there
+    w, counts, _runs = _sweep_tensor(d, q, True, _reduced_vertex(d, q, True))
 
     # product factors for suffixes whose coordinates are disjoint from the prefix
     factors = [1] * (d.n + 1)

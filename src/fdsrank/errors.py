@@ -64,6 +64,5 @@ class IntegrityError(FdsrankError):
     """A result contradicts an identity it must satisfy: a bug, not bad input.
 
     Raised by the internal cross-checks (histogram totals against the family
-    size, solver status on programs that are always feasible and bounded,
-    two computations of one value), which stay on under ``python -O``.
+    size, two computations of one value), which stay on under ``python -O``.
     """

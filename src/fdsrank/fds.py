@@ -115,13 +115,14 @@ def input_index(n: int, q: int, inputs) -> np.ndarray:
     The table is little-endian indexed in the listed order: the first input
     is the least significant digit.
     """
-    states = np.arange(q ** n, dtype=np.int64)
-    idx = np.zeros(q ** n, dtype=np.int64)
-    stride = 1
-    for u in inputs:
-        idx += ((states // q ** (u - 1)) % q) * stride
-        stride *= q
-    return idx
+    # the states as a (q,)*n grid, coordinate u on axis n - u: each input
+    # adds its digit's weight along its own axis, with no division per state
+    idx = np.zeros((q,) * n, dtype=np.int64)
+    for j, u in enumerate(inputs):
+        shape = [1] * n
+        shape[n - u] = q
+        idx += (np.arange(q, dtype=np.int64) * q ** j).reshape(shape)
+    return idx.reshape(-1)
 
 
 def depends_on(tables: np.ndarray, q: int, j: int) -> np.ndarray:

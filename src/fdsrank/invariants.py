@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ratlp
 from .digraph import Digraph, is_primitive, is_strongly_connected, shortest_cycle
-from .errors import IntegrityError, LoopsPresent, NotStronglyConnected, SizeLimitExceeded
+from .errors import LoopsPresent, NotStronglyConnected, SizeLimitExceeded
 
 EXACT_VERTEX_CAP = 24
 MAX_ENUMERATED_CYCLES = 100_000
@@ -114,7 +114,7 @@ def cycle_packing_number(d: Digraph) -> int:
 
 
 def fractional_cycle_packing(d: Digraph):
-    """LP relaxation of cycle packing as an exact Fraction, refused past the column cap."""
+    """LP relaxation of cycle packing, exact; refused past the column cap or uncertified."""
     _check_cap(d, "fractional cycle packing")
     masks = sorted({sum(1 << (v - 1) for v in cyc) for cyc in simple_cycles(d)})
     if not masks:
@@ -126,11 +126,8 @@ def fractional_cycle_packing(d: Digraph):
         )
     per_vertex = ({j: 1 for j, m in enumerate(masks) if m >> (v - 1) & 1} for v in d.vertices())
     rows = [row for row in per_vertex if row]
-    res = ratlp.solve_exact([1] * len(masks), rows, ["<="] * len(rows), [1] * len(rows),
-                            maximize=True)
-    if res.status != ratlp.OPTIMAL:
-        raise IntegrityError(f"fractional packing program came back {res.status}")
-    return res.value
+    return ratlp.solve_exact([1] * len(masks), rows, ["<="] * len(rows), [1] * len(rows),
+                             maximize=True).value
 
 
 # --- cliques -----------------------------------------------------------------
@@ -216,15 +213,12 @@ def clique_partition_number(d: Digraph) -> int:
 
 
 def fractional_clique_cover(d: Digraph):
-    """LP relaxation of clique cover over maximal cliques, as an exact Fraction."""
+    """LP relaxation of clique cover over maximal cliques, exact; refused if uncertified."""
     _check_cap(d, "fractional clique cover")
     cliques = maximal_cliques(d)
     rows = [{j: 1 for j, m in enumerate(cliques) if m >> (v - 1) & 1} for v in d.vertices()]
     # at most 3^(n/3) maximal cliques (Moon & Moser 1965): 6561 under the vertex cap
-    res = ratlp.solve_exact([1] * len(cliques), rows, [">="] * d.n, [1] * d.n, maximize=False)
-    if res.status != ratlp.OPTIMAL:
-        raise IntegrityError(f"fractional clique cover program came back {res.status}")
-    return res.value
+    return ratlp.solve_exact([1] * len(cliques), rows, [">="] * d.n, [1] * d.n).value
 
 
 # --- matchings ---------------------------------------------------------------

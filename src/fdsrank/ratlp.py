@@ -16,16 +16,11 @@ Lett. 2007):
    meets every row, each ``y_i`` has the sign its row's sense needs, ``y``
    meets every dual row, and ``c . x == b . y``. Weak duality then makes
    ``c . x`` the exact optimum.
-4. In every other case (a failed check, or any HiGHS verdict but optimal)
-   the program goes to :func:`solve_tableau`, the two-phase tableau simplex
-   over ``Fraction`` entries with Bland's rule, which terminates on
-   degenerate systems. An infeasible or unbounded verdict therefore always
-   comes from the tableau.
 
-The tableau holds rows x (columns + slacks + artificials + 1) ``Fraction``
-cells and refuses with ``SizeLimitExceeded`` past ``TABLEAU_CELL_CAP`` before
-it allocates them, so every :func:`solve_exact` answer is certified, pivoted
-on a small tableau, or refused.
+In every other case (a failed check, a coefficient past the float range,
+or any HiGHS verdict but optimal) the program is refused with
+``SizeLimitExceeded``. So every answer is a certified optimum; an
+infeasible, unbounded or uncertified program has no answer at all.
 """
 
 from __future__ import annotations
@@ -36,25 +31,16 @@ from fractions import Fraction
 
 from .errors import SizeLimitExceeded
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 # a float within 1/(2 q D) of a rational p/q with q <= D snaps to it exactly;
 # HiGHS solves to 1e-9, far inside that for D = 1000
 SNAP_DENOMINATOR = 1000
 SENSES = ("<=", ">=", "=")
-FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
-# Fraction cells of the tableau; entropy duals took 0.2 s at 2,688 cells,
-# 1.7 s at 17,799 and 44 s at 102,378 (table in CHANGES.md)
-TABLEAU_CELL_CAP = 20_000
 
 
 @dataclass
 class LpResult:
-    status: str
-    value: Fraction | None = None
-    x: list | None = None
+    value: Fraction
+    x: list
 
 
 def _items(row):
@@ -158,10 +144,12 @@ def _certified_cost(rows, senses, rhs, cost, x, xden, y, yden):
 
 
 def solve_exact(c, rows, senses, rhs, maximize=False) -> LpResult:
-    """Exact optimum of the stated (max or min) problem.
+    """Exact optimum of the stated (max or min) problem, certified or refused.
 
     ``rows`` may mix dense sequences and sparse ``{index: coeff}`` dicts.
-    A certified HiGHS answer when there is one, else :func:`solve_tableau`.
+    Raises ``SizeLimitExceeded``, with the program's rows x columns as
+    ``projected``, when HiGHS reports no optimum, a coefficient is past the
+    float range, or the certificate fails.
     """
     # scaling a row or the objective by a positive number keeps the optimal
     # x, so the certificate works on whole numbers
@@ -176,140 +164,18 @@ def solve_exact(c, rows, senses, rhs, maximize=False) -> LpResult:
         cost = [-a for a in cost]
     try:
         res, y = _highs(len(cost), whole_rows, senses, whole_rhs, cost)
-    except OverflowError:  # a coefficient past the float range
-        y = None
+    except OverflowError:
+        res = y = None
     if y is not None:
         x, xw, xden = _snap(res.x)
         _y, yw, yden = _snap(y)
         best = _certified_cost(whole_rows, senses, whole_rhs, cost, xw, xden, yw, yden)
         if best is not None:
-            return LpResult(OPTIMAL, (-best if maximize else best) / cost_scale, x)
-    return solve_tableau(c, rows, senses, rhs, maximize)
-
-
-def solve_tableau(c, rows, senses, rhs, maximize=False) -> LpResult:
-    """Two-phase tableau simplex over exact rationals, with Bland's rule.
-
-    ``rows`` may mix dense sequences and sparse ``{index: coeff}`` dicts.
-    Returns the optimum of the stated (max or min) problem, or raises
-    ``SizeLimitExceeded`` when the tableau would pass ``TABLEAU_CELL_CAP``.
-    """
-    nvar = len(c)
-    obj = [Fraction(x) for x in c]
-    if maximize:
-        obj = [-x for x in obj]
-
-    for s in senses:
-        if s not in SENSES:
-            raise ValueError(f"bad sense {s!r}")
-    b = [Fraction(x) for x in rhs]
-    # a row with b < 0 enters negated, with its sense flipped
-    sense = [FLIPPED[s] if v < 0 else s for s, v in zip(senses, b)]
-    m = len(sense)
-
-    # slack (+1) for <=, surplus (-1) plus artificial for >=, artificial for =
-    slack_of = {}
-    art_of = {}
-    ncol = nvar
-    for i, s in enumerate(sense):
-        if s != "=":
-            slack_of[i] = ncol
-            ncol += 1
-        if s != "<=":
-            art_of[i] = ncol
-            ncol += 1
-    cells = m * (ncol + 1)
-    if cells > TABLEAU_CELL_CAP:
-        raise SizeLimitExceeded(
-            f"exact tableau of {cells} cells exceeds {TABLEAU_CELL_CAP}", projected=cells
-        )
-
-    tab = [[Fraction(0)] * (ncol + 1) for _ in range(m)]
-    basis = [0] * m
-    for i, row in enumerate(rows):
-        sign = -1 if b[i] < 0 else 1
-        for j, v in _items(row):
-            tab[i][j] = sign * Fraction(v)
-        tab[i][ncol] = sign * b[i]
-        if i in slack_of:
-            tab[i][slack_of[i]] = Fraction(1 if sense[i] == "<=" else -1)
-            basis[i] = slack_of[i]
-        if i in art_of:
-            tab[i][art_of[i]] = Fraction(1)
-            basis[i] = art_of[i]
-
-    artificials = set(art_of.values())
-
-    def pivot(prow, pcol):
-        pv = tab[prow][pcol]
-        tab[prow] = [x / pv for x in tab[prow]]
-        for i in range(m):
-            if i != prow and tab[i][pcol]:
-                f = tab[i][pcol]
-                rowp = tab[prow]
-                tab[i] = [x - f * y for x, y in zip(tab[i], rowp)]
-        basis[prow] = pcol
-
-    def run_phase(cost, allowed):
-        # cost: per-column objective; returns False when unbounded
-        while True:
-            # reduced costs z_j - c_j under current basis
-            red = list(cost)
-            for i in range(m):
-                cb = cost[basis[i]]
-                if cb:
-                    row = tab[i]
-                    for j in allowed:
-                        if row[j]:
-                            red[j] -= cb * row[j]
-            enter = -1
-            for j in allowed:  # Bland: smallest eligible index
-                if red[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return True
-            leave = -1
-            best = None
-            for i in range(m):
-                if tab[i][enter] > 0:
-                    ratio = tab[i][ncol] / tab[i][enter]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return False
-            pivot(leave, enter)
-
-    if artificials:
-        cost1 = [Fraction(0)] * (ncol + 1)
-        for j in artificials:
-            cost1[j] = Fraction(1)
-        run_phase(cost1, list(range(ncol)))
-        phase1 = sum(tab[i][ncol] for i in range(m) if basis[i] in artificials)
-        if phase1 > 0:
-            return LpResult(INFEASIBLE)
-        # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] in artificials:
-                for j in range(ncol):
-                    if j not in artificials and tab[i][j]:
-                        pivot(i, j)
-                        break
-        allowed = [j for j in range(ncol) if j not in artificials]
-    else:
-        allowed = list(range(ncol))
-
-    cost2 = [Fraction(0)] * (ncol + 1)
-    cost2[:nvar] = obj
-    if not run_phase(cost2, allowed):
-        return LpResult(UNBOUNDED)
-
-    x = [Fraction(0)] * nvar
-    for i in range(m):
-        if basis[i] < nvar:
-            x[basis[i]] = tab[i][ncol]
-    value = sum(o * v for o, v in zip(obj, x))
-    if maximize:
-        value = -value
-    return LpResult(OPTIMAL, value, x)
+            return LpResult((-best if maximize else best) / cost_scale, x)
+    why = ("a coefficient is past the float range" if res is None
+           else f"HiGHS reported no optimum (status {res.status})" if y is None
+           else "the certificate failed")
+    raise SizeLimitExceeded(
+        f"linear program of {len(rows)} rows x {len(c)} columns refused: {why}",
+        projected=len(rows) * len(c),
+    )

@@ -264,15 +264,23 @@ class VerifySuite:
 
     def check_bounds_sandwich(self):
         bad = []
+        strict_q3 = 0
         for d in self.sweep_graphs():
-            rep = fix_bounds_report(d, 2)
-            maxfix = self.stats(d, 2, False).fixed_points.maximum
-            if not rep.best_lower <= maxfix <= rep.best_upper:
-                bad.append((fingerprint(d), rep.best_lower, maxfix, rep.best_upper))
+            families = [(2, False), (2, True)]
+            if family_size(d, 3, True) <= Q3_BUDGET:
+                families.append((3, True))
+                strict_q3 += 1
+            for q, strict in families:
+                rep = fix_bounds_report(d, q, strict=strict)
+                maxfix = self.stats(d, q, strict).fixed_points.maximum
+                if not rep.best_lower <= maxfix <= rep.best_upper:
+                    bad.append((fingerprint(d), q, "strict" if strict else "loose",
+                                rep.best_lower, maxfix, rep.best_upper))
         k3 = fix_bounds_report(fx.K3, 2)
         c3 = fix_bounds_report(fx.C3, 2)
         tight = (k3.best_lower, k3.best_upper, c3.best_lower, c3.best_upper) == (4, 4, 2, 2)
-        return "enumerated max fixed points sits inside the bound bracket; " \
+        return "enumerated max fixed points sits inside the bound bracket, loose and " \
+            f"strict at q=2 and strict at q=3 ({strict_q3} within budget); " \
             "triangle tight at 4, 3-cycle at 2", not bad and tight, \
             "0 escapes, tight brackets", f"{len(bad)} escapes {bad[:3]}, tight={tight}"
 

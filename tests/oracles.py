@@ -9,6 +9,7 @@ the real implementations directly.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 def brute_feedback_vertex_number(d) -> int:
@@ -401,3 +402,58 @@ def full_entropy_program(d):
     c = [0] * (full + 1)
     c[full] = 1
     return c, rows, senses, rhs
+
+
+def brute_lp_optimum(c, rows, senses, rhs, maximize):
+    """Optimum of c.x subject to dense ``rows`` (senses) ``rhs`` and x >= 0.
+
+    None when the program is infeasible or unbounded. The region lies in the
+    orthant, so it has a vertex when it is not empty, and each vertex solves
+    n linearly independent tight constraints: try every n of the rows and
+    the bounds x_j >= 0 in exact arithmetic. The program is unbounded when
+    some vertex d of {d >= 0 : A d (senses) 0, sum d = 1} improves c.
+    """
+    n = len(c)
+    sign = 1 if maximize else -1
+    points = _lp_vertices(rows, senses, rhs, n)
+    if not points:
+        return None
+    rays = _lp_vertices(list(rows) + [[1] * n], list(senses) + ["="], [0] * len(rows) + [1], n)
+    if any(sign * _dot(c, d) > 0 for d in rays):
+        return None
+    return sign * max(sign * _dot(c, x) for x in points)
+
+
+def _dot(a, x):
+    return sum(ai * xi for ai, xi in zip(a, x))
+
+
+def _lp_vertices(rows, senses, rhs, n):
+    cons = list(zip(rows, senses, rhs))
+    cons += [([int(i == j) for i in range(n)], ">=", 0) for j in range(n)]
+    out = []
+    for chosen in itertools.combinations(cons, n):
+        x = _solve_square([row for row, _s, _b in chosen], [b for _r, _s, b in chosen])
+        if x is None:
+            continue
+        values = [(_dot(row, x), s, b) for row, s, b in cons]
+        if all(ax <= b if s == "<=" else ax >= b if s == ">=" else ax == b
+               for ax, s, b in values):
+            out.append(x)
+    return out
+
+
+def _solve_square(a, b):
+    """The unique solution of the square system a x = b in Fractions, or None."""
+    n = len(b)
+    m = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]

@@ -15,7 +15,7 @@ from fdsrank.bounds import (
     max_code_size,
 )
 from fdsrank.digraph import Digraph
-from fdsrank.enumeration import enumerate_stats
+from fdsrank.enumeration import enumerate_stats, family_size
 from fdsrank.errors import SizeLimitExceeded
 from fdsrank.invariants import transversal_number
 
@@ -96,20 +96,14 @@ class TestEntropy:
             full = 0 if program is None else ratlp.solve_exact(*program, maximize=True).value
             assert entropy_report(d).value == full, d
 
-    def test_catalog_programs_are_certified_without_the_tableau(self, monkeypatch):
-        def no_tableau(*args, **kwargs):
-            raise AssertionError("entropy program fell back to the tableau")
-
-        monkeypatch.setattr(ratlp, "solve_tableau", no_tableau)
+    def test_catalog_programs_are_certified_without_the_tableau(self):
+        # solve_exact refuses any program it cannot certify, so an answer
+        # here is a certified one
         for d in fx.CATALOG.values():
             assert isinstance(entropy_report(d).value, Fraction)
 
-    def test_nine_core_vertices_are_certified_without_the_tableau(self, monkeypatch):
-        # the largest programs under the cap still need no tableau
-        def no_tableau(*args, **kwargs):
-            raise AssertionError("entropy program fell back to the tableau")
-
-        monkeypatch.setattr(ratlp, "solve_tableau", no_tableau)
+    def test_nine_core_vertices_are_certified_without_the_tableau(self):
+        # the largest programs under the cap are certified, not refused
         for d, value in ((fx.directed_cycle(9), 1), (fx.complete(9), 8)):
             rep = entropy_report(d)
             assert (rep.value, rep.method) == (value, "exact-dual")
@@ -176,8 +170,6 @@ class TestFixBoundsReport:
         assert rep.best_lower <= maxfix <= rep.best_upper
 
     def test_strict_sandwich_two_vertex(self):
-        from fdsrank.enumeration import family_size
-
         checked = 0
         for d in small_digraphs(2):
             for q in (2, 3):
@@ -188,6 +180,22 @@ class TestFixBoundsReport:
                 assert rep.best_lower <= maxfix <= rep.best_upper, (d, q)
                 checked += 1
         assert checked > 25
+
+    def test_sandwich_on_random_four_vertex_graphs(self):
+        rng = random.Random(4)
+        pairs = [(u, v) for u in range(1, 5) for v in range(1, 5)]
+        checked = 0
+        for _ in range(100):
+            density = rng.choice((0.2, 0.35, 0.5))
+            d = Digraph(4, [pair for pair in pairs if rng.random() < density])
+            for strict in (False, True):
+                if family_size(d, 2, strict) > 10 ** 6:
+                    continue
+                rep = fix_bounds_report(d, 2, strict=strict)
+                maxfix = enumerate_stats(d, 2, strict=strict).fixed_points.maximum
+                assert rep.best_lower <= maxfix <= rep.best_upper, (d, strict)
+                checked += 1
+        assert checked > 100
 
     def test_json_stable_keys(self):
         import json

@@ -149,10 +149,21 @@ class TestExitCodes:
         assert main(["enum", star3_file, "--q", "2"]) == 1
         assert "internal check failed" in capsys.readouterr().err
 
-    def test_failed_entropy_program_is_one(self, capsys, monkeypatch, star3_file):
-        monkeypatch.setattr(ratlp, "solve_exact", lambda *a, **k: ratlp.LpResult(ratlp.INFEASIBLE))
-        assert main(["bounds", star3_file, "--q", "2"]) == 1
-        assert "internal check failed: entropy dual came back infeasible" in capsys.readouterr().err
+    def test_uncertified_entropy_program_is_skipped(self, capsys, monkeypatch, tmp_path):
+        # HiGHS finds no optimum: the program is refused with its size, and
+        # the bounds report goes on without the entropy bound
+        from scipy import optimize
+
+        monkeypatch.setattr(optimize, "linprog", lambda *a, **k: optimize.OptimizeResult(
+            status=4, success=False, message="patched"))
+        path = tmp_path / "c3.graph"
+        path.write_text(format_digraph(fx.C3))
+        rc, doc = run_json(capsys, ["bounds", str(path), "--q", "2"])
+        assert rc == 0
+        # the triangle's entropy dual: 1 row x 6 columns
+        assert doc["entropy_detail"] == {"status": "skipped(size)", "projected": 6}
+        assert doc["skipped"]["entropy"] == "size(6)"
+        assert doc["entropy_exponent"] is None
 
 
 class TestEnum:

@@ -99,21 +99,46 @@ class TestEnumerateStats:
             enumerate_stats(dense, 2, strict=False, max_funcs=1000)
         assert err.value.projected == 2 ** 24
 
+    # vertex 1 reads all four vertices, itself included: 2^16 tables of 16
+    # cells in 4336 alphabet orbits; the other three range over 2 constants
+    FAN_IN = Digraph(4, [(u, 1) for u in range(1, 5)])
+    FAN_IN_ORBITS = 4336
+    # the one-byte tables of 2^16 * 16 + 2 cells, the int64 digit matrix of
+    # the largest, and the orbit step's code columns over vertex 1's tables
+    # at 8 bytes a table: one for each of its 4 generators and 3 working ones
+    FAN_IN_TABLES = (1 + 8) * 2 ** 20 + 2 + 8 * 2 ** 16 * (4 + 3)
+
     def test_byte_guard_prices_the_sweep_setup(self, monkeypatch):
-        # vertex 1 ranges over 2^16 tables of 16 cells, the other three over
-        # 2 constants: a one-byte padded tensor of 4 * 2^16 * 16 cells, one
-        # vertex's one-byte gather of 2^16 * 16, the one-byte tables of
-        # 2^16 * 16 + 2, the int64 digit matrix of the largest, and the orbit
-        # step's code columns over vertex 1's tables at 8 bytes a table: one
-        # for each of its 4 generators (it reads itself) and 3 working columns
-        d = Digraph(4, [(u, 1) for u in range(1, 5)])
-        priced = (4 + 1 + 1 + 8) * 2 ** 20 + 2 + 8 * 2 ** 16 * (4 + 3)
+        # then a one-byte padded tensor of 4 * 4336 * 16 cells and one
+        # vertex's one-byte gather of 4336 * 16
+        d, reps = self.FAN_IN, self.FAN_IN_ORBITS
+        assert np.unique(enumeration._table_orbits(2, 4, 0)).size == reps
+        priced = self.FAN_IN_TABLES + (4 + 1) * reps * 16
         monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced - 1)
         with pytest.raises(SizeLimitExceeded) as err:
             enumerate_stats(d, 2)
         assert err.value.projected == priced
         monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced)
         assert enumeration.price_family(d, 2, False, 10 ** 8, 2 ** 24) == (2 ** 19, 16)
+        # over the cap the table step alone is priced, before any labelling
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", self.FAN_IN_TABLES - 1)
+        enumeration._table_orbits.cache_clear()
+        enumeration._orbit_leaders.cache_clear()
+        with pytest.raises(SizeLimitExceeded) as err:
+            enumerate_stats(d, 2)
+        assert err.value.projected == self.FAN_IN_TABLES
+        assert enumeration._table_orbits.cache_info().currsize == 0
+
+    def test_a_sweep_priced_at_its_orbit_representatives_runs(self, monkeypatch):
+        # under a cap the unreduced tensor (4 * 2^16 * 16 cells) would pass,
+        # the sweep runs on the representatives and matches the whole product
+        d = self.FAN_IN
+        unreduced = self.FAN_IN_TABLES + (4 + 1) * 2 ** 20
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", unreduced - 1)
+        report = enumerate_stats(d, 2)
+        hists = kernels.family_histograms(*unreduced_tensor(d, 2, False), 2 ** d.n)
+        for stats, hist in zip(report.quantities().values(), hists):
+            assert stats.histogram == {int(v): int(c) for v, c in enumerate(hist) if c}
 
     def test_one_guard_prices_every_sweep(self):
         d = fx.STAR3
@@ -177,19 +202,23 @@ class TestEnumerateStats:
     @pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
     @pytest.mark.parametrize("q,d", SETUPS, ids=[f"{q}^{d.n}-{d.m}" for q, d in SETUPS])
     def test_priced_bytes_cover_the_setup_peak(self, monkeypatch, q, d, strict):
-        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", 0)
-        with pytest.raises(SizeLimitExceeded) as err:
-            enumeration.price_family(d, q, strict, math.inf, 1 << 24)
+        # the guard prices in two steps, so check its decision: a cap one
+        # byte under the measured peak refuses the sweep
         enumeration._all_tables.cache_clear()
         enumeration._essential_selector.cache_clear()
         enumeration._table_orbits.cache_clear()
+        enumeration._orbit_leaders.cache_clear()
         tracemalloc.start()
         try:
-            enumeration._sweep_tensor(d, q, strict, 0)
+            enumeration._sweep_tensor(d, q, strict, enumeration._reduced_vertex(d, q, strict))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert err.value.projected >= peak >= 1 << 20
+        assert peak >= 1 << 20
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", peak - 1)
+        with pytest.raises(SizeLimitExceeded) as err:
+            enumeration.price_family(d, q, strict, math.inf, 1 << 24)
+        assert err.value.projected >= peak
 
     def test_json_round_stable(self):
         import json
@@ -314,8 +343,9 @@ class TestMinrankExact:
         assert minrank_exact(fx.E3, 2) == 1
 
     def test_agrees_with_enumeration(self):
-        # the search tries one table per alphabet orbit at vertex 1, the sweep
-        # all of them: every digraph with n <= 3 at q=2 and n <= 2 at q=3
+        # the search tries one table per alphabet orbit at the vertex with
+        # most tables, the sweep weights them: every digraph with n <= 3 at
+        # q=2 and n <= 2 at q=3
         families = [(d, 2) for n in (1, 2, 3) for d in small_digraphs(n)]
         families += [(d, 3) for n in (1, 2) for d in small_digraphs(n)]
         for d, q in families:

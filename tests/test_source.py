@@ -87,6 +87,16 @@ def test_highs_is_called_only_inside_solve_exact():
     assert found == [("ratlp.py", "solve_exact")]
 
 
+def test_solve_exact_is_the_only_public_function_of_ratlp():
+    # one LP path: an answer is a certified HiGHS optimum or a refusal, so a
+    # second solver cannot come back as another public entry point
+    tree = ast.parse((SRC / "ratlp.py").read_text(encoding="utf-8"))
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")]
+    assert public == ["solve_exact"]
+
+
 def test_no_function_takes_an_exact_cap():
     # exact-size caps are module constants checked in one place, not knobs
     found = []

@@ -6,6 +6,7 @@ from fdsrank import fixtures as fx
 from fdsrank import verify
 from fdsrank.cli import main
 from fdsrank.constructions import conjunctive
+from fdsrank.enumeration import enumerate_stats
 from fdsrank.fds import make_fds
 from fdsrank.invariants import transversal_number
 from fdsrank.verify import VerifySuite
@@ -57,6 +58,16 @@ def _constant_last_table(real):
     return extend
 
 
+def _strict_upper_one_short(real):
+    # the strict bracket's upper end one below the enumerated maximum
+    def report(d, q, strict=False):
+        rep = real(d, q, strict=strict)
+        if strict:
+            rep.best_upper = enumerate_stats(d, q, strict=True).fixed_points.maximum - 1
+        return rep
+    return report
+
+
 @pytest.mark.parametrize("check, name, broken, symptom", [
     pytest.param("check_alphabet_monotonicity", "minrank_exact",
                  lambda real: lambda d, q: real(d, q) + 1, "search", id="minrank-off-by-one"),
@@ -70,6 +81,8 @@ def _constant_last_table(real):
     pytest.param("check_witness_conformance", "packing_plus_one_witness",
                  lambda real: lambda d, packing: conjunctive(d),
                  "packing-plus-one fixed points", id="packing-witness-is-conjunctive"),
+    pytest.param("check_bounds_sandwich", "fix_bounds_report", _strict_upper_one_short,
+                 "'strict'", id="strict-upper-below-the-maximum"),
 ])
 def test_lemma_checks_catch_a_broken_build(monkeypatch, check, name, broken, symptom):
     monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
