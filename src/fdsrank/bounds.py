@@ -3,8 +3,10 @@
 ``fix_bounds_report`` assembles every applicable bound for a graph and
 alphabet into one consistency-checked record. Constituents that exceed their
 guards are omitted and recorded as skipped, never approximated. The entropy
-exponent is an exact ``Fraction`` from a certified solve of the program's
-dual, refused past ``ENTROPY_VERTEX_CAP`` core vertices.
+exponent is exact: the transversal number when the cycle packing number or
+the clique-partition bound reaches it (proof in :func:`entropy_report`),
+else an exact ``Fraction`` from a certified solve of the program's dual,
+refused past ``ENTROPY_VERTEX_CAP`` core vertices.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ def max_code_size(n: int, q: int, d) -> int:
 class EntropyReport:
     value: Fraction
     peeled: tuple[int, ...]  # iteratively removed in-degree-0 vertices
+    # "peeled-empty": no core is left; "pinned": the program's own pins fix
+    # h(V); "exact-dual": the exact optimum of the entropy program's dual,
+    # certified by a solve or met by its integer ends
     method: str
 
     @property
@@ -110,17 +115,9 @@ class EntropyReport:
         return bool(self.peeled)
 
 
-@lru_cache(maxsize=1024)
-def entropy_report(d: Digraph) -> EntropyReport:
-    """Optimal value of the shared-entropy program bounding log_q of max fixed points.
-
-    Vertices with no in-arcs force their coordinate in every fixed point, so
-    the program is posed on the iteratively source-peeled core; a fully
-    peeled graph reports exponent 0. The value is an exact ``Fraction``
-    certified by :func:`ratlp.solve_exact`; a core over
-    ``ENTROPY_VERTEX_CAP`` vertices, or a program whose optimum is not
-    certified, raises ``SizeLimitExceeded``.
-    """
+def _source_core(d: Digraph) -> tuple[Digraph | None, tuple[int, ...]]:
+    """The iteratively source-peeled core, relabelled 1..k in vertex order
+    (None when nothing is left), and the peeled vertices."""
     core = set(d.vertices())
     peeled: list[int] = []
     while True:
@@ -130,21 +127,44 @@ def entropy_report(d: Digraph) -> EntropyReport:
         core -= set(srcs)
         peeled.extend(srcs)
     if not core:
-        return EntropyReport(Fraction(0), tuple(sorted(peeled)), "peeled-empty")
-    if len(core) > ENTROPY_VERTEX_CAP:
-        raise SizeLimitExceeded(
-            f"entropy program capped at {ENTROPY_VERTEX_CAP} core vertices",
-            projected=len(core),
-        )
+        return None, tuple(sorted(peeled))
+    pos = {v: i + 1 for i, v in enumerate(sorted(core))}
+    arcs = [(pos[u], pos[v]) for u, v in d.arcs if u in pos and v in pos]
+    return Digraph(len(pos), arcs), tuple(sorted(peeled))
 
-    verts = sorted(core)
-    pos = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
+
+def _integer_pin(core: Digraph) -> int | None:
+    """tau when max(nu, k - kappa) reaches it, else None.
+
+    An invariant refused by its own guard leaves its end out. nu enumerates
+    every cycle (up to 100,000 of them on dense cores), so it runs only
+    when tau and k - kappa have not met already.
+    """
+    try:
+        high = transversal_number(core)
+    except SizeLimitExceeded:
+        return None
+    for low in (lambda: core.n - clique_partition_number(core),
+                lambda: cycle_packing_number(core)):
+        try:
+            if low() == high:
+                return high
+        except SizeLimitExceeded:
+            pass
+    return None
+
+
+def _entropy_program(core: Digraph):
+    """The entropy program of a source-peeled core.
+
+    Returns h(V) as a ``Fraction`` when the singleton and empty-set pins
+    fix it, else the arguments of :func:`ratlp.solve_exact` for the dual.
+    """
+    k = core.n
     full = (1 << k) - 1
     nin_mask = [0] * k
-    for u, v in d.arcs:
-        if u in core and v in core:
-            nin_mask[pos[v]] |= 1 << pos[u]
+    for u, v in core.arcs:
+        nin_mask[v - 1] |= 1 << (u - 1)
 
     # h(N(i) + i) = h(N(i)) joins two masks into one variable. The classes are
     # the weak components of a graph on the masks (mask m is vertex m + 1) with
@@ -214,7 +234,7 @@ def entropy_report(d: Digraph) -> EntropyReport:
 
     full_root = root[full]
     if full_root in const:
-        return EntropyReport(const[full_root], tuple(sorted(peeled)), "pinned")
+        return const[full_root]
 
     nvar = len(var_index)
     c = [0] * nvar
@@ -226,8 +246,81 @@ def entropy_report(d: Digraph) -> EntropyReport:
     for i, row in enumerate(rows):
         for j, a in row.items():
             dual_rows[j][i] = a
-    res = ratlp.solve_exact(rhs, dual_rows, [">="] * nvar, c, maximize=False)
-    return EntropyReport(Fraction(res.value), tuple(sorted(peeled)), "exact-dual")
+    return rhs, dual_rows, [">="] * nvar, c
+
+
+def _solve_dual(program) -> Fraction:
+    return Fraction(ratlp.solve_exact(*program, maximize=False).value)
+
+
+def _entropy_lp(d: Digraph) -> Fraction:
+    """The program's optimum as posed, with no integer pin and no vertex cap."""
+    core, _peeled = _source_core(d)
+    if core is None:
+        return Fraction(0)
+    program = _entropy_program(core)
+    return program if isinstance(program, Fraction) else _solve_dual(program)
+
+
+@lru_cache(maxsize=1024)
+def entropy_report(d: Digraph) -> EntropyReport:
+    """Optimal value of the shared-entropy program bounding log_q of max fixed points.
+
+    Vertices with no in-arcs force their coordinate in every fixed point, so
+    the program is posed on the iteratively source-peeled core V, with
+    h(empty) = 0, h(v) = 1 for every core vertex, the join rows
+    h(N(v) + v) = h(N(v)) (N is the in-neighbourhood in the core) and
+    Shannon's inequalities; it maximizes h(V). A fully peeled graph
+    reports exponent 0.
+
+    Its optimum H lies between integer ends, max(nu, k - kappa) <= H <= tau,
+    where k = |V|, nu is the cycle packing number, kappa the clique
+    partition number and tau the transversal number of the core:
+
+    - H <= tau. Let F be a minimum feedback vertex set, so V - F is acyclic
+      and loopless; add its vertices to S = F in topological order. Each
+      new v has N(v) inside S, so submodularity and the join row give
+      h(S + v) - h(S) <= h(N(v) + v) - h(N(v)) = 0. Hence h(V) <= h(F),
+      and h(F) <= sum of h(f) over F = tau by subadditivity.
+    - H >= nu and H >= k - kappa. Any random vector's entropy, in bits, is
+      a point of Shannon's cone, so one with H(X_v) = 1 for every core
+      vertex v and X_v a function of X_N(v) is feasible. Every core vertex
+      has an in-neighbour p(v) in the core. For nu: each cycle of a maximum
+      packing carries one uniform bit, copied by its vertices; every other
+      vertex copies X_p(v). Following p from an unpacked vertex reaches the
+      packing, or the p-arcs would close a cycle disjoint from it. So
+      H(X_V) = nu. For k - kappa: on each clique of a minimum partition of
+      size s >= 2, the X_v are uniform bits summing to 0, of joint entropy
+      s - 1, and each is the sum of the others, its in-neighbours. Every
+      singleton copies X_p(v), except that one vertex of each cycle the
+      p-arcs close among singletons carries a fresh uniform bit. So H(X_V)
+      >= sum of (s - 1) = k - kappa.
+
+    When the ends meet, the value is tau and no program is solved. Within
+    ``ENTROPY_VERTEX_CAP`` core vertices the program is built first, so a
+    value fixed by its pins alone reports method ``"pinned"``; otherwise
+    the value is an exact ``Fraction`` certified by
+    :func:`ratlp.solve_exact`. A larger core whose ends do not meet, or a
+    program whose optimum is not certified, raises ``SizeLimitExceeded``.
+    """
+    core, peeled = _source_core(d)
+    if core is None:
+        return EntropyReport(Fraction(0), peeled, "peeled-empty")
+    if core.n > ENTROPY_VERTEX_CAP:
+        pin = _integer_pin(core)
+        if pin is None:
+            raise SizeLimitExceeded(
+                f"entropy program capped at {ENTROPY_VERTEX_CAP} core vertices, "
+                "and its integer ends do not meet",
+                projected=core.n,
+            )
+        return EntropyReport(Fraction(pin), peeled, "exact-dual")
+    program = _entropy_program(core)
+    if isinstance(program, Fraction):
+        return EntropyReport(program, peeled, "pinned")
+    pin = _integer_pin(core)
+    value = _solve_dual(program) if pin is None else Fraction(pin)
+    return EntropyReport(value, peeled, "exact-dual")
 
 
 def _floor_power(q: int, exponent: Fraction) -> int:

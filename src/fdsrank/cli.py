@@ -174,16 +174,17 @@ def cmd_canonical(args) -> int:
 def cmd_bounds(args) -> int:
     d = read_digraph(args.file)
     doc = fix_bounds_report(d, args.q, strict=args.strict).to_json_dict()
-    try:
+
+    def entropy_detail():
         rep = entropy_report(d)
-        doc["entropy_detail"] = {
+        return {
             "value": str(rep.value),
             "exact": True,
             "peeled_sources": list(rep.peeled),
             "method": rep.method,
         }
-    except SizeLimitExceeded as exc:
-        doc["entropy_detail"] = {"status": "skipped(size)", "projected": exc.projected}
+
+    doc["entropy_detail"] = _entry(entropy_detail)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

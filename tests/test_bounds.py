@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,12 @@ import pytest
 import oracles
 from conftest import small_digraphs
 from fdsrank import fixtures as fx
-from fdsrank import ratlp
+from fdsrank import bounds, ratlp
 from fdsrank.bounds import (
+    _entropy_lp,
     _floor_power,
+    _integer_pin,
+    _source_core,
     entropy_report,
     fix_bounds_report,
     max_code_size,
@@ -17,7 +21,36 @@ from fdsrank.bounds import (
 from fdsrank.digraph import Digraph
 from fdsrank.enumeration import enumerate_stats, family_size
 from fdsrank.errors import SizeLimitExceeded
-from fdsrank.invariants import transversal_number
+from fdsrank.invariants import cycle_packing_number, transversal_number
+
+
+def _pin_mismatches(graphs):
+    """Graphs whose integer pin, or whose report, is not the solved program's optimum."""
+    for d in graphs:
+        core, _peeled = _source_core(d)
+        pin = None if core is None else _integer_pin(core)
+        optimum = _entropy_lp(d)
+        if pin not in (None, optimum) or entropy_report(d).value != optimum:
+            yield d
+
+
+def _pin_sample():
+    """Every digraph with n <= 3, the catalog and seeded random 4-7-vertex graphs."""
+    graphs = [d for n in (1, 2, 3) for d in small_digraphs(n)] + list(fx.CATALOG.values())
+    rng = random.Random(20)
+    for _ in range(80):
+        n = rng.randint(4, 7)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+        density = rng.choice((0.2, 0.35, 0.5))
+        graphs.append(Digraph(n, [p for p in pairs if rng.random() < density]))
+    return graphs
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    real = ratlp.solve_exact
+    monkeypatch.setattr(ratlp, "solve_exact", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
 
 
 class TestMaxCodeSize:
@@ -71,7 +104,7 @@ class TestEntropy:
     def test_partial_peel(self):
         d = Digraph(3, [(1, 1)])
         rep = entropy_report(d)
-        assert rep.value == 1
+        assert (rep.value, rep.method) == (1, "pinned")  # h(core) is h(1) = 1
         assert set(rep.peeled) == {2, 3}
 
     def test_triangle_with_loops(self):
@@ -94,7 +127,7 @@ class TestEntropy:
         for d in graphs:
             program = oracles.full_entropy_program(d)
             full = 0 if program is None else ratlp.solve_exact(*program, maximize=True).value
-            assert entropy_report(d).value == full, d
+            assert _entropy_lp(d) == full, d
 
     def test_catalog_programs_are_certified_without_the_tableau(self):
         # solve_exact refuses any program it cannot certify, so an answer
@@ -102,18 +135,49 @@ class TestEntropy:
         for d in fx.CATALOG.values():
             assert isinstance(entropy_report(d).value, Fraction)
 
-    def test_nine_core_vertices_are_certified_without_the_tableau(self):
-        # the largest programs under the cap are certified, not refused
+    def test_nine_core_vertices_are_certified_without_the_tableau(self, monkeypatch):
+        # the largest programs under the cap are solved and certified, not
+        # refused (the integer pin would answer both without a solve)
+        calls = _counting_solves(monkeypatch)
         for d, value in ((fx.directed_cycle(9), 1), (fx.complete(9), 8)):
-            rep = entropy_report(d)
-            assert (rep.value, rep.method) == (value, "exact-dual")
+            assert _entropy_lp(d) == value
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("d, value", [
+        (fx.directed_cycle(10), 1), (fx.complete(11), 10),
+        (fx.symmetric_cycle(10), 5), (fx.symmetric_cycle(12), 6),
+    ], ids=["C10", "K11", "S10", "S12"])
+    def test_cores_past_the_cap_are_pinned_when_the_ends_meet(self, monkeypatch, d, value):
+        monkeypatch.setattr(ratlp, "solve_exact", None)  # answered without a solve
+        start = time.perf_counter()
+        rep = entropy_report(d)
+        assert time.perf_counter() - start < 1
+        assert (rep.value, rep.method) == (value, "exact-dual")
 
     def test_cores_past_the_cap_are_refused_with_their_size(self, monkeypatch):
+        # the odd symmetric cycle's ends differ: nu = n - kappa = 5 < tau = 6
         monkeypatch.setattr(ratlp, "solve_exact", None)  # refused before any solve
-        for k in (10, 11, 12):
-            with pytest.raises(SizeLimitExceeded) as err:
-                entropy_report(fx.symmetric_cycle(k))
-            assert err.value.projected == k
+        with pytest.raises(SizeLimitExceeded) as err:
+            entropy_report(fx.symmetric_cycle(11))
+        assert err.value.projected == 11
+
+    def test_the_pin_is_the_program_optimum(self):
+        assert list(_pin_mismatches(_pin_sample())) == []
+
+    def test_a_pin_past_the_lower_end_is_caught(self, monkeypatch):
+        monkeypatch.setattr(bounds, "cycle_packing_number", lambda d: cycle_packing_number(d) + 1)
+        assert next(_pin_mismatches(_pin_sample()), None) is not None
+
+    def test_no_solve_where_the_ends_meet(self, monkeypatch):
+        calls = _counting_solves(monkeypatch)
+        for n in (1, 2, 3):
+            for d in small_digraphs(n):
+                for strict in (False, True):
+                    fix_bounds_report(d, 2, strict=strict)
+        assert calls == []
+        for strict in (False, True):
+            fix_bounds_report(fx.C5_SYM, 2, strict=strict)
+        assert len(calls) == 1
 
 
 class TestFloorPower:

@@ -156,13 +156,19 @@ class TestExitCodes:
 
         monkeypatch.setattr(optimize, "linprog", lambda *a, **k: optimize.OptimizeResult(
             status=4, success=False, message="patched"))
-        path = tmp_path / "c3.graph"
-        path.write_text(format_digraph(fx.C3))
+        # C5sym is the one fixture whose integer ends (2 and 3) leave a program
+        path = tmp_path / "c5.graph"
+        path.write_text(format_digraph(fx.C5_SYM))
         rc, doc = run_json(capsys, ["bounds", str(path), "--q", "2"])
         assert rc == 0
-        # the triangle's entropy dual: 1 row x 6 columns
-        assert doc["entropy_detail"] == {"status": "skipped(size)", "projected": 6}
-        assert doc["skipped"]["entropy"] == "size(6)"
+        # C5sym's entropy dual: 21 rows x 85 columns
+        assert doc["entropy_detail"] == {
+            "status": "skipped(size)",
+            "projected": 1785,
+            "reason": "linear program of 21 rows x 85 columns refused: "
+                      "HiGHS reported no optimum (status 4)",
+        }
+        assert doc["skipped"]["entropy"] == "size(1785)"
         assert doc["entropy_exponent"] is None
 
 
@@ -208,16 +214,33 @@ class TestBounds:
             assert json.loads(capsys.readouterr().out)["entropy_detail"]["value"] == "5/2"
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("d", [fx.directed_cycle(10), fx.complete(11)], ids=["C10", "K11"])
-    def test_cores_past_the_entropy_cap_are_refused_at_once(self, capsys, tmp_path, d):
+    @pytest.mark.parametrize("d, value", [(fx.directed_cycle(10), "1"), (fx.complete(11), "10")],
+                             ids=["C10", "K11"])
+    def test_cores_past_the_entropy_cap_are_answered_at_once(self, capsys, monkeypatch,
+                                                             tmp_path, d, value):
+        # the integer ends meet, so no program is solved
+        monkeypatch.setattr(ratlp, "solve_exact", None)
         path = tmp_path / "big.graph"
         path.write_text(format_digraph(d))
         start = time.perf_counter()
         rc, doc = run_json(capsys, ["bounds", str(path), "--q", "2"])
         assert time.perf_counter() - start < 1
         assert rc == 0
-        assert doc["skipped"]["entropy"] == f"size({d.n})"
-        assert doc["entropy_detail"] == {"status": "skipped(size)", "projected": d.n}
+        assert doc["entropy_exponent"] == value
+        assert doc["entropy_detail"]["method"] == "exact-dual"
+
+    def test_cores_past_the_entropy_cap_are_refused_with_a_reason(self, capsys, tmp_path):
+        path = tmp_path / "s11.graph"
+        path.write_text(format_digraph(fx.symmetric_cycle(11)))
+        rc, doc = run_json(capsys, ["bounds", str(path), "--q", "2"])
+        assert rc == 0
+        assert doc["skipped"]["entropy"] == "size(11)"
+        assert doc["entropy_detail"] == {
+            "status": "skipped(size)",
+            "projected": 11,
+            "reason": "entropy program capped at 9 core vertices, "
+                      "and its integer ends do not meet",
+        }
         assert doc["entropy_exponent"] is None
 
 

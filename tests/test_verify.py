@@ -76,6 +76,8 @@ def _strict_upper_one_short(real):
     pytest.param("check_entropy_bracket", "fractional_cycle_packing",
                  lambda real: lambda d: transversal_number(d) + 1, "violations",
                  id="packing-above-transversal"),
+    pytest.param("check_entropy_bracket", "_integer_pin", lambda real: transversal_number,
+                 "wrong pins [(", id="pin-ignores-the-lower-end"),
     pytest.param("check_witness_conformance", "format_fds", _drop_last_table_entry,
                  "text round trip", id="text-drops-an-entry"),
     pytest.param("check_witness_conformance", "packing_plus_one_witness",
