@@ -154,12 +154,9 @@ def _integer_pin(core: Digraph) -> int | None:
     return None
 
 
-def _entropy_program(core: Digraph):
-    """The entropy program of a source-peeled core.
-
-    Returns h(V) as a ``Fraction`` when the singleton and empty-set pins
-    fix it, else the arguments of :func:`ratlp.solve_exact` for the dual.
-    """
+def _join_classes(core: Digraph) -> tuple[list[int], dict[int, Fraction]]:
+    """The join class of every vertex mask of a source-peeled core, and the
+    values the empty-set and singleton pins fix, by class."""
     k = core.n
     full = (1 << k) - 1
     nin_mask = [0] * k
@@ -181,7 +178,18 @@ def _entropy_program(core: Digraph):
         if r in const and const[r] != 1:
             raise IntegrityError("pinned-value clash survived source peeling")
         const[r] = Fraction(1)
+    return root, const
 
+
+def _entropy_program(core: Digraph):
+    """The entropy program of a source-peeled core.
+
+    Returns h(V) as a ``Fraction`` when the singleton and empty-set pins
+    fix it, else the arguments of :func:`ratlp.solve_exact` for the dual.
+    """
+    k = core.n
+    full = (1 << k) - 1
+    root, const = _join_classes(core)
     var_index: dict[int, int] = {}
     for r in root:
         if r not in const and r not in var_index:
@@ -296,12 +304,14 @@ def entropy_report(d: Digraph) -> EntropyReport:
       p-arcs close among singletons carries a fresh uniform bit. So H(X_V)
       >= sum of (s - 1) = k - kappa.
 
-    When the ends meet, the value is tau and no program is solved. Within
-    ``ENTROPY_VERTEX_CAP`` core vertices the program is built first, so a
-    value fixed by its pins alone reports method ``"pinned"``; otherwise
-    the value is an exact ``Fraction`` certified by
-    :func:`ratlp.solve_exact`. A larger core whose ends do not meet, or a
-    program whose optimum is not certified, raises ``SizeLimitExceeded``.
+    The pins and the integer ends are checked before any row is written.
+    Within ``ENTROPY_VERTEX_CAP`` core vertices the join classes come
+    first: a value fixed by the empty-set and singleton pins alone reports
+    method ``"pinned"``. Next, when the ends meet, the value is tau. Only
+    when both fail is the program written, and its value is an exact
+    ``Fraction`` certified by :func:`ratlp.solve_exact`. A larger core
+    skips the join classes; if its ends do not meet it raises
+    ``SizeLimitExceeded``, as does a program whose optimum is not certified.
     """
     core, peeled = _source_core(d)
     if core is None:
@@ -315,11 +325,12 @@ def entropy_report(d: Digraph) -> EntropyReport:
                 projected=core.n,
             )
         return EntropyReport(Fraction(pin), peeled, "exact-dual")
-    program = _entropy_program(core)
-    if isinstance(program, Fraction):
-        return EntropyReport(program, peeled, "pinned")
+    root, const = _join_classes(core)
+    full_root = root[-1]  # the full mask is the last
+    if full_root in const:
+        return EntropyReport(const[full_root], peeled, "pinned")
     pin = _integer_pin(core)
-    value = _solve_dual(program) if pin is None else Fraction(pin)
+    value = _solve_dual(_entropy_program(core)) if pin is None else Fraction(pin)
     return EntropyReport(value, peeled, "exact-dual")
 
 

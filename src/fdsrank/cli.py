@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from . import fixtures
 from .bounds import entropy_report, fix_bounds_report
@@ -261,7 +262,9 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process; parse_args keeps no state."""
     p = argparse.ArgumentParser(
         prog="fdsrank",
         description="Rank, periodic rank and fixed points of finite dynamical "

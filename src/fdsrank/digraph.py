@@ -95,19 +95,26 @@ def shortest_cycle(d: Digraph, removed: frozenset[int] = frozenset()) -> tuple[i
     One BFS runs from each vertex in turn. The cycle lists its vertices in
     arc order, starting at the least vertex that lies on a shortest cycle.
     """
-    outs = {v: [w for w in d.out_neighbors(v) if w not in removed] for v in d.vertices()}
-    for v in d.vertices():
+    return cycle_avoiding(d.out_map(), removed)
+
+
+def cycle_avoiding(outs: dict[int, frozenset[int]],
+                   removed: frozenset[int]) -> tuple[int, ...] | None:
+    """:func:`shortest_cycle` on a graph given by its ``out_map``, which a
+    caller searching many removed sets builds once."""
+    live = [v for v in outs if v not in removed]
+    for v in live:
         if v in outs[v]:
             return (v,)
     best = None
-    for s in d.vertices():
-        if s in removed:
-            continue
+    for s in live:
         parent = {s: 0}
         queue = deque([s])
         while queue:
             u = queue.popleft()
             for w in outs[u]:
+                if w in removed:
+                    continue
                 if w == s:
                     # reconstruct s -> ... -> u
                     rev = [u]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlp
-from .digraph import Digraph, is_primitive, is_strongly_connected, shortest_cycle
+from .digraph import Digraph, cycle_avoiding, is_primitive, is_strongly_connected
 from .errors import LoopsPresent, NotStronglyConnected, SizeLimitExceeded
 
 EXACT_VERTEX_CAP = 24
@@ -59,20 +59,25 @@ def simple_cycles(d: Digraph) -> list[tuple[int, ...]]:
 def transversal_number(d: Digraph) -> int:
     """Minimum feedback vertex set size, by branch and bound on shortest cycles."""
     _check_cap(d, "transversal number")
+    outs = d.out_map()
     best = d.n
+    # a removed set sits at depth |removed|, so one met again was already
+    # searched under a bound no tighter than now
+    seen: set[frozenset[int]] = set()
 
-    def solve(removed: frozenset[int], k: int) -> None:
+    def solve(removed: frozenset[int]) -> None:
         nonlocal best
-        if k >= best:
+        if len(removed) >= best or removed in seen:
             return
-        cyc = shortest_cycle(d, removed)
+        seen.add(removed)
+        cyc = cycle_avoiding(outs, removed)
         if cyc is None:
-            best = k
+            best = len(removed)
             return
         for v in cyc:
-            solve(removed | {v}, k + 1)
+            solve(removed | {v})
 
-    solve(frozenset(), 0)
+    solve(frozenset())
     return best
 
 

@@ -11,6 +11,7 @@ from fdsrank import fixtures as fx
 from fdsrank import bounds, ratlp
 from fdsrank.bounds import (
     _entropy_lp,
+    _entropy_program,
     _floor_power,
     _integer_pin,
     _source_core,
@@ -160,6 +161,27 @@ class TestEntropy:
         with pytest.raises(SizeLimitExceeded) as err:
             entropy_report(fx.symmetric_cycle(11))
         assert err.value.projected == 11
+
+    @pytest.mark.parametrize("d, value", [
+        (fx.C3, 1), (fx.add_loops(fx.K3), 3), (fx.directed_cycle(7), 1), (fx.complete(6), 5),
+    ], ids=["C3", "K3o", "C7", "K6"])
+    def test_pinned_cores_never_build_the_program(self, monkeypatch, d, value):
+        def unbuilt(core):
+            raise AssertionError("program built for a pinned core")
+
+        monkeypatch.setattr(bounds, "_entropy_program", unbuilt)
+        assert entropy_report(d).value == value
+
+    def test_pinned_label_is_where_the_program_is_a_constant(self):
+        # the join classes decide "pinned" exactly where the whole program
+        # would fold to a constant, and with the same value
+        for d in [d for n in (1, 2, 3) for d in small_digraphs(n)] + list(fx.CATALOG.values()):
+            core, _peeled = _source_core(d)
+            if core is None:
+                continue
+            rep = entropy_report(d)
+            assert (rep.method == "pinned") == isinstance(_entropy_program(core), Fraction), d
+            assert rep.value == _entropy_lp(d), d
 
     def test_the_pin_is_the_program_optimum(self):
         assert list(_pin_mismatches(_pin_sample())) == []

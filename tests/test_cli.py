@@ -3,8 +3,8 @@ import time
 
 import pytest
 
+from fdsrank import cli, kernels, ratlp
 from fdsrank import fixtures as fx
-from fdsrank import kernels, ratlp
 from fdsrank.cli import main
 from fdsrank.digraph import Digraph, format_digraph
 from fdsrank.fds import parse_fds
@@ -170,6 +170,29 @@ class TestExitCodes:
         }
         assert doc["skipped"]["entropy"] == "size(1785)"
         assert doc["entropy_exponent"] is None
+
+
+class TestSharedParser:
+    def test_consecutive_calls_do_not_leak_options(self, capsys, monkeypatch, tmp_path,
+                                                   star3_file):
+        # one parser serves every call in the process; each call starts from
+        # the defaults again
+        cli.build_parser.cache_clear()
+        calls = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        assert run_json(capsys, ["bounds", star3_file, "--strict"])[1]["strict"] is True
+        assert run_json(capsys, ["bounds", star3_file])[1]["strict"] is False
+        out = tmp_path / "w.fds"
+        assert main(["witness", "maxper", star3_file, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == "" and out.read_text()
+        assert main(["witness", "maxper", star3_file]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert main(["bounds", star3_file, "--q", "1"]) == 2
+        assert main(["bounds", star3_file]) == 0
+        # six calls, one build
+        assert len(calls) == 6
+        assert real.cache_info().misses == 1
 
 
 class TestEnum:

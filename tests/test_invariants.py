@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import small_digraphs
 from fdsrank import fixtures as fx
 from fdsrank import invariants
 from fdsrank.digraph import Digraph
@@ -59,6 +60,16 @@ class TestTransversal:
     @settings(max_examples=60, deadline=None)
     def test_matches_subset_oracle(self, d):
         assert transversal_number(d) == oracles.brute_feedback_vertex_number(d)
+
+    def test_every_three_vertex_graph_matches_the_subset_oracle(self):
+        for d in small_digraphs(3):
+            assert transversal_number(d) == oracles.brute_feedback_vertex_number(d), d
+
+    @pytest.mark.parametrize("n", range(12, 21))
+    def test_loopless_complete_graph(self, n):
+        # every 2-cycle needs a vertex, and one vertex left is acyclic; the
+        # branch and bound reaches each removed set once, not once per path
+        assert transversal_number(fx.complete(n)) == n - 1
 
 
 class TestCyclePacking:

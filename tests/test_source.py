@@ -72,9 +72,8 @@ def test_weak_components_is_the_only_union_find():
     assert found == []
 
 
-def test_highs_is_called_only_inside_solve_exact():
-    # every HiGHS answer passes the certificate, so no uncertified float
-    # can reach a report
+def _call_sites(name):
+    """(file, top-level owner) of every call to ``name`` in the package."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -82,9 +81,21 @@ def test_highs_is_called_only_inside_solve_exact():
                  for top in tree.body for node in ast.walk(top)}
         for node in ast.walk(tree):
             func = node.func if isinstance(node, ast.Call) else None
-            if (getattr(func, "id", None) or getattr(func, "attr", None)) == "_highs":
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == name:
                 found.append((path.name, owner[node]))
-    assert found == [("ratlp.py", "solve_exact")]
+    return found
+
+
+def test_highs_is_called_only_inside_solve_exact():
+    # every HiGHS answer passes the certificate, so no uncertified float
+    # can reach a report
+    assert _call_sites("_highs") == [("ratlp.py", "solve_exact")]
+
+
+def test_the_parser_is_built_only_in_main():
+    # build_parser is cached once per process; a second call site would
+    # invite a command that rebuilds the parser on every call
+    assert _call_sites("build_parser") == [("cli.py", "main")]
 
 
 def test_solve_exact_is_the_only_public_function_of_ratlp():
