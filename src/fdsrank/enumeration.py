@@ -5,29 +5,42 @@ family fixes the interaction graph exactly (every local table must depend
 essentially on each declared input), the loose family only requires
 containment. Averages are exact rationals. The sweep and ``minrank_exact``
 read one narrow tensor, built by :func:`_sweep_tensor`. One guard,
-:func:`price_family`, refuses oversized sweeps with the projected size: a
-function-count guard (``DEFAULT_MAX_FUNCS`` unless the caller passes
-``max_funcs``), the state-space guard of :mod:`fds`, and a cap on the bytes
-the sweep set-up allocates.
+:func:`price_family`, refuses oversized sweeps with the projected size:
+the state-space guard of :mod:`fds`, a function-count guard
+(``DEFAULT_MAX_FUNCS`` unless the caller passes ``max_funcs``), and a cap on
+the bytes the sweep set-up allocates, in that order.
 
-The sweep visits one table of the outermost vertex v0 (most tables, lowest
-index) per orbit of alphabet relabelling, and weights it by the orbit size
-(Burnside's lemma). The group is S_q on each coordinate of {v0} and the
-inputs of v0; σ acts on a table t of v0 by (σ·t)(x) = σ_v0(t(σ⁻¹x)), and
-when v0 reads itself one σ_v0 moves both its input digit and its output.
-This is exact:
+The sweep keeps, at every vertex, one table per orbit of a group of
+alphabet relabellings, and weights it by the orbit size (Burnside's lemma).
+The groups form a chain. Vertices are taken most tables first, lowest index
+on ties: v_0, v_1, ... Vertex v_i claims D_i, the coordinates of {v_i} and
+its inputs that no earlier vertex claimed, and its group is K_i = S_q^D_i,
+one permutation σ_u of the alphabet on each coordinate u of D_i. K_i acts
+on a system by conjugation (σ ∘ f ∘ σ⁻¹, identity off D_i), and so on a
+table t of v_i by (σ·t)(x) = σ_v_i(t(σ⁻¹x)), where σ_v_i is the identity
+unless v_i is in D_i, and one σ_v_i moves both the input digit and the
+output of a vertex that reads itself. This is exact:
 
-- conjugating a system by σ (σ ∘ f ∘ σ⁻¹, identity on the other
-  coordinates) maps the family onto itself: it keeps every local table's
+- conjugation maps the family onto itself: it keeps every local table's
   inputs, and it keeps essential dependence, so strict tables stay strict;
-- it sends the systems with t at v0 onto those with σ·t at v0;
-- it keeps rank, periodic rank and the number of fixed points.
+  it keeps rank, periodic rank and the number of fixed points;
+- K_i fixes the tables already chosen: the table of an earlier vertex v_j
+  reads and writes only coordinates of {v_j} and its inputs, which D_0 to
+  D_j cover, and D_i is disjoint from those;
+- so for a prefix t_0, ..., t_(i-1) of chosen tables, K_i maps the systems
+  with that prefix onto themselves, and sends those with t at v_i onto
+  those with σ·t at v_i.
 
-So the histograms H(t) of the systems with t at v0 satisfy H(t) = H(σ·t),
-and the family's histograms are the sum over orbit representatives of the
-orbit size times H. ``minrank_exact`` tries one table per orbit at the
-same vertex by the same argument: every system has a conjugate of equal
-rank whose table there is an orbit's representative.
+By induction along the chain, the histograms of the systems with a prefix
+and t at v_i equal those with σ·t there. So the family's histograms are the
+sum, over one representative per orbit at every vertex, of the product of
+the orbit sizes times the histograms of that one system. The weight is a
+product over vertices, so the sweep stays one table product, which
+``kernels.family_histograms`` takes with each row's orbit size as its
+multiplicity. A vertex with nothing left to claim keeps all its tables at
+weight 1. ``minrank_exact`` tries the same rows: conjugating a system by an
+element of K_0 puts a representative at v_0, then one of K_1, which keeps
+v_0's table, puts one at v_1, and so on, and the rank does not change.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from . import kernels
 from .canonical import canonicalize, product_bound
 from .constructions import conjunctive_rank
 from .digraph import Digraph, fingerprint
-from .errors import IntegrityError, SizeLimitExceeded
+from .errors import IntegrityError, SizeLimitExceeded, projected_size
 from .fds import (
     DEFAULT_MAX_STATES,
     TABLE_BYTE_CAP,
@@ -78,20 +91,22 @@ def _essential_selector(q: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _table_orbits(q: int, k: int, self_pos: int | None) -> np.ndarray:
-    """For every table on k inputs, the least code in its alphabet orbit.
+def _table_orbits(q: int, k: int, coords: tuple[tuple[int | None, bool], ...]) -> np.ndarray:
+    """For every table on k inputs, the least code in its orbit under ``coords``.
 
     A table's code is its row in ``_all_tables(q, k)``. The group permutes
-    the alphabet on each input digit and on the output; input ``self_pos``
-    (the vertex reading itself) shares one permutation with the output. It
-    is generated by adjacent transpositions, each its own inverse, so the
-    code a generator sends every table to is one gather index. Labels take
-    the least label across each generator, then jump to their own label's
+    the alphabet independently on each coordinate of ``coords``: a pair
+    (input digit or None, whether it moves the output). A vertex's own
+    coordinate moves its output, and its input digit too when it reads
+    itself; the other coordinates are input digits. The group is generated
+    by adjacent transpositions, each its own inverse, so the code a
+    generator sends every table to is one gather index. Labels take the
+    least label across each generator, then jump to their own label's
     label, until a round moves none. Orbits never mix essential and
     inessential tables, so one labelling serves both families.
     """
-    moves = _orbit_moves(q, k, self_pos)
-    label = np.arange(q ** (q ** k), dtype=moves[0].dtype)
+    moves = _orbit_moves(q, k, coords)
+    label = np.arange(q ** (q ** k), dtype=np.min_scalar_type(q ** (q ** k) - 1))
     while True:
         before = label.copy()
         for move in moves:
@@ -102,7 +117,7 @@ def _table_orbits(q: int, k: int, self_pos: int | None) -> np.ndarray:
             return label
 
 
-def _orbit_moves(q: int, k: int, self_pos: int | None) -> list[np.ndarray]:
+def _orbit_moves(q: int, k: int, coords) -> list[np.ndarray]:
     """The code each generator of :func:`_table_orbits` sends every table to.
 
     Codes are held in the narrowest unsigned dtype that holds them.
@@ -111,8 +126,6 @@ def _orbit_moves(q: int, k: int, self_pos: int | None) -> list[np.ndarray]:
     code_type = np.min_scalar_type(tables.shape[0] - 1)
     cells = np.arange(q ** k, dtype=np.int64)
     weight = (q ** cells).astype(code_type)
-    # (input digit or None, whether it moves the output) for each permuted coordinate
-    coords = [(j, j == self_pos) for j in range(k)] + [(None, True)] * (self_pos is None)
     moves = []
     for j, output in coords:
         for a in range(q - 1):
@@ -222,9 +235,39 @@ def _table_counts(d: Digraph, q: int, strict: bool) -> list[int]:
     ]
 
 
+def _log2_tables(q: int, k: int, strict: bool) -> float:
+    """log2 of the number of tables on k inputs, in floating point.
+
+    The essential share is 1 + sum_j (-1)^j C(k, j) q^(q^(k-j) - q^k), whose
+    terms past the first few underflow to 0.
+    """
+    log2_q = math.log2(q)
+    bits = q ** k * log2_q
+    if strict:
+        share = 1 + sum((-1) ** j * math.comb(k, j) * 2.0 ** ((q ** (k - j) - q ** k) * log2_q)
+                        for j in range(1, k + 1))
+        bits += math.log2(share)
+    return bits
+
+
 def family_size(d: Digraph, q: int, strict: bool) -> int:
     """Exact number of systems in the family, computed before any materialization."""
     return math.prod(_table_counts(d, q, strict))
+
+
+def _log2_sum(terms: list[float]) -> float:
+    """log2 of the sum of 2^t over ``terms``, without forming any 2^t."""
+    top = max(terms)
+    return top + math.log2(sum(2.0 ** (t - top) for t in terms))
+
+
+def _over(log2: float, exact, cap: float) -> bool:
+    """Whether a size is over ``cap``: by its float log2, or by ``exact()``
+    when that is within a bit of the cap's."""
+    limit = math.log2(cap) if cap >= 1 else -math.inf
+    if abs(log2 - limit) > 1:
+        return log2 > limit
+    return exact() > cap
 
 
 def price_family(
@@ -232,95 +275,122 @@ def price_family(
 ) -> tuple[int, int]:
     """Systems and states of a family sweep; refuses the sweep over any guard.
 
-    The guards are on systems, states and the bytes the sweep set-up
-    allocates. First the tables: the narrow table matrices, the int64 digit
-    matrix the largest is decoded from, and the orbit step, one code column
-    of at most 8 bytes a table per generator for a vertex's table matrix,
-    plus three working columns. When those fit, the orbit labelling (cached
-    for the set-up) gives the rows of :func:`_reduced_vertex`, and the padded
-    tensor and one vertex's gather (rows x states) are priced at the rows
-    the set-up keeps. ``max_funcs`` is an already resolved limit.
+    The guards are on states, systems and the bytes the sweep set-up
+    allocates, in that order. Systems and table bytes are priced by their
+    float log2 first, and exactly only near the guard, so a family of
+    tables too many to count is refused at once. The bytes of the set-up
+    are priced in two steps. First the tables: the narrow table matrices,
+    the int64 digit matrix the largest is decoded from, and the orbit steps
+    of the chain's groups in turn, each one code column of at most 8 bytes
+    a table per generator plus three working columns, over the labels the
+    earlier steps keep. When those fit, the labellings (cached for the
+    set-up) give the rows each vertex keeps, and the padded tensor and one
+    vertex's gather (rows x states) are priced at the most rows any vertex
+    keeps. ``max_funcs`` is an already resolved limit.
     """
-    counts = _table_counts(d, q, strict)
-    total = math.prod(counts)
-    if total > max_funcs:
+    n_states = check_states(d.n, q, max_states)
+    ins = d.in_map()
+    degrees = [len(ins[v]) for v in d.vertices()]
+    log2_total = sum(_log2_tables(q, k, strict) for k in degrees)
+    if _over(log2_total, lambda: family_size(d, q, strict), max_funcs):
+        total = projected_size(log2_total, lambda: family_size(d, q, strict))
         raise SizeLimitExceeded(
             f"family has {total} systems, over the guard {max_funcs}", projected=total
         )
-    n_states = check_states(d.n, q, max_states)
     value, state = (np.min_scalar_type(x - 1).itemsize for x in (q, n_states))
-    ins = d.in_map()
-    cells = [q ** (q ** k) * q ** k for k in {len(i) for i in ins.values()}]
-    orbit = max(8 * q ** (q ** len(i)) * ((q - 1) * len(i | {v}) + 3) for v, i in ins.items())
-    nbytes = value * sum(cells) + 8 * max(cells) + orbit
+    cell_bits = [_log2_tables(q, k, False) + k * math.log2(q) for k in set(degrees)]
+    log2_tables = _log2_sum([math.log2(value) + c for c in cell_bits] + [3 + max(cell_bits)])
+
+    def table_bytes():
+        cells = [q ** (q ** k) * q ** k for k in set(degrees)]
+        return value * sum(cells) + 8 * max(cells)
+
+    if _over(log2_tables, table_bytes, TABLE_BYTE_CAP):
+        nbytes = projected_size(log2_tables, table_bytes)
+        raise SizeLimitExceeded(
+            f"sweep set-up needs {nbytes} bytes, over {TABLE_BYTE_CAP}", projected=nbytes
+        )
+    groups = _chain_groups(d, q, strict)
+    held = orbit = 0
+    for k, coords in dict.fromkeys(zip(degrees, groups)):
+        if coords:
+            orbit = max(orbit, held + 8 * q ** (q ** k) * ((q - 1) * len(coords) + 3))
+            held += 8 * q ** (q ** k)
+    nbytes = table_bytes() + orbit
     if nbytes <= TABLE_BYTE_CAP:
-        v0 = _reduced_vertex(d, q, strict)
-        counts[v0] = sum(rows.size for rows in _orbit_representatives(d, q, strict, v0).values())
-        nbytes += (d.n * state + value) * max(counts) * n_states
+        kept = max(_orbit_leaders(q, k, coords, strict)[0].size
+                   for k, coords in zip(degrees, groups))
+        nbytes += (d.n * state + value) * kept * n_states
     if nbytes > TABLE_BYTE_CAP:
         raise SizeLimitExceeded(
             f"sweep set-up needs {nbytes} bytes, over {TABLE_BYTE_CAP}", projected=nbytes
         )
-    return total, n_states
+    return family_size(d, q, strict), n_states
 
 
-def _reduced_vertex(d: Digraph, q: int, strict: bool) -> int:
-    """The vertex, from 0, whose tables the sweep and the search cut to one
-    per alphabet orbit: the one with most tables, lowest index first."""
-    return int(np.argmax(_table_counts(d, q, strict)))
+def _chain_groups(d: Digraph, q: int, strict: bool) -> list[tuple[tuple[int | None, bool], ...]]:
+    """For each vertex from 0, the coordinates its alphabet group K_i permutes.
 
-
-def _orbit_representatives(d: Digraph, q: int, strict: bool, v0: int) -> dict[int, np.ndarray]:
-    """Vertex v0+1's table codes that lead their alphabet orbit, by orbit size."""
-    inputs = sorted(d.in_neighbors(v0 + 1))
-    return _orbit_leaders(q, len(inputs), inputs.index(v0 + 1) if v0 + 1 in inputs else None,
-                          strict)
+    Vertices are taken most tables first, lowest index on ties; each claims
+    the coordinates of itself and its inputs that no earlier vertex claimed,
+    as :func:`_table_orbits` reads them.
+    """
+    counts = _table_counts(d, q, strict)
+    ins = d.in_map()
+    claimed: set[int] = set()
+    groups: list[tuple] = [()] * d.n
+    for v in sorted(range(d.n), key=lambda v: (-counts[v], v)):
+        own, inputs = v + 1, sorted(ins[v + 1])
+        claim = {own, *inputs} - claimed
+        claimed |= claim
+        coords = tuple((j, u == own) for j, u in enumerate(inputs) if u in claim)
+        groups[v] = coords + ((None, True),) * (own in claim and own not in inputs)
+    return groups
 
 
 @lru_cache(maxsize=64)
-def _orbit_leaders(q: int, k: int, self_pos: int | None, strict: bool) -> dict[int, np.ndarray]:
-    """Codes of the tables on k inputs that lead their orbit, by orbit size.
+def _orbit_leaders(q: int, k: int, coords, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the tables on k inputs that lead their orbit under ``coords``,
+    increasing, and the size of each one's orbit.
 
-    Sizes increase; strict keeps the essential tables only.
+    Strict keeps the essential tables only.
     """
-    label = _table_orbits(q, k, self_pos)
+    if not coords:
+        codes = _essential_selector(q, k) if strict else np.arange(q ** (q ** k))
+        return codes, np.ones(codes.size, dtype=np.int64)
+    label = _table_orbits(q, k, coords)
     sizes = np.bincount(label, minlength=label.size)
     live = sizes > 0
     if strict:
         essential = np.zeros_like(live)
         essential[_essential_selector(q, k)] = True
         live &= essential
-    return {size: np.flatnonzero(live & (sizes == size))
-            for size in sorted(set(sizes[live].tolist()))}
+    codes = np.flatnonzero(live)
+    return codes, sizes[codes]
 
 
 def _sweep_tensor(
-    d: Digraph, q: int, strict: bool, v0: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """Padded tensor ``w``, live row counts and the runs of vertex v0+1's rows.
+    d: Digraph, q: int, strict: bool
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Padded tensor ``w``, live row counts and each live row's multiplicity.
 
-    ``w[v, t]`` is table t of vertex v+1 times q^v. Vertex v0+1 keeps one
-    table per alphabet orbit, the least code, grouped by orbit size: the
-    runs are (orbit size, rows) in row order, sizes increasing.
+    ``w[v, t]`` is the t-th table vertex v+1 keeps times q^v: one table per
+    orbit of its chain group, the least code, whose multiplicity is the
+    orbit's size.
     """
     ins = d.in_map()
     inputs = [sorted(ins[v]) for v in d.vertices()]
     for k in {len(i) for i in inputs}:  # free each int64 digit matrix before w exists
         (_essential_selector if strict else _all_tables)(q, k)
-    by_size = _orbit_representatives(d, q, strict, v0)
-    reps = np.concatenate(list(by_size.values()))
-    counts = np.array(_table_counts(d, q, strict), dtype=np.int64)
-    counts[v0] = reps.size
+    kept = [_orbit_leaders(q, len(i), coords, strict)
+            for i, coords in zip(inputs, _chain_groups(d, q, strict))]
+    counts = np.array([codes.size for codes, _ in kept], dtype=np.int64)
     w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.min_scalar_type(q ** d.n - 1))
-    for v in range(d.n):
+    for v, (codes, _) in enumerate(kept):
         tables = _all_tables(q, len(inputs[v]))
-        if v == v0:
-            tables = tables[reps]
-        elif strict:
-            tables = tables[_essential_selector(q, len(inputs[v]))]
-        np.multiply(tables[:, input_index(d.n, q, inputs[v])], w.dtype.type(q ** v),
+        np.multiply(tables[np.ix_(codes, input_index(d.n, q, inputs[v]))], w.dtype.type(q ** v),
                     out=w[v, : counts[v]], casting="unsafe")
-    return w, counts, [(size, rows.size) for size, rows in by_size.items()]
+    return w, counts, [sizes for _, sizes in kept]
 
 
 def enumerate_stats(
@@ -337,16 +407,8 @@ def enumerate_stats(
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
     total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    v0 = _reduced_vertex(d, q, strict)
-    w, counts, runs = _sweep_tensor(d, q, strict, v0)
-    hists = np.zeros((3, n_states + 1), dtype=np.int64)
-    start = 0
-    for size, run in runs:
-        # the kernel reads the first counts[v0] rows: move this size's run there
-        w[v0, :run] = w[v0, start : start + run]
-        counts[v0] = run
-        hists += size * np.array(kernels.family_histograms(w, counts, n_states))
-        start += run
+    w, counts, mult = _sweep_tensor(d, q, strict)
+    hists = kernels.family_histograms(w, counts, n_states, mult)
     # the only guard against a kernel that drops or double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
         if int(hist.sum()) != total:
@@ -373,6 +435,9 @@ def minrank_exact(
 ) -> int:
     """Minimum rank over the strict family, by branch and bound over local tables.
 
+    Each vertex tries one table per orbit of its chain group, as the sweep
+    keeps them: every system has a conjugate of equal rank with a
+    representative at each vertex in turn (see the module docstring).
     Partial table assignments are priced by the number of distinct projected
     image tuples, multiplied by the canonical product bound of the unassigned
     remainder whenever the two blocks read disjoint coordinates.
@@ -389,9 +454,9 @@ def minrank_exact(
         return incumbent
 
     ins = d.in_map()
-    # the sweep's reduced vertex tries one table per alphabet orbit: conjugation
-    # keeps the rank and the family, so some minimizer has a representative there
-    w, counts, _runs = _sweep_tensor(d, q, True, _reduced_vertex(d, q, True))
+    # every vertex tries one table per orbit of its chain group: some minimizer
+    # has a representative at each vertex (see the module docstring)
+    w, counts, _mult = _sweep_tensor(d, q, True)
 
     # product factors for suffixes whose coordinates are disjoint from the prefix
     factors = [1] * (d.n + 1)

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+# a projected size is exact below 2^PROJECTED_BITS; above, its log2 stands in
+# for it, so that a refusal prints and serializes in bounded time and space
+PROJECTED_BITS = 1024
+
+
+def projected_size(log2: float, exact):
+    """``exact()`` when ``log2`` is under ``PROJECTED_BITS``, else "2^x" with x
+    the size's float log2 to one decimal."""
+    return exact() if log2 < PROJECTED_BITS else f"2^{log2:.1f}"
+
 
 class FdsrankError(Exception):
     """Base class for all package errors."""
@@ -9,7 +19,8 @@ class SizeLimitExceeded(FdsrankError):
     """An exact computation was refused because it exceeds a configured guard.
 
     The ``projected`` attribute carries the size that triggered the refusal
-    (function count, state count, vertex count, ... depending on the guard).
+    (function count, state count, vertex count, ... depending on the guard),
+    in the bounded form of :func:`projected_size` where it can be huge.
     """
 
     def __init__(self, message, projected=None):

@@ -7,6 +7,8 @@ report in the package uses this order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .digraph import Digraph
@@ -15,6 +17,7 @@ from .errors import (
     ShapeMismatch,
     SizeLimitExceeded,
     ValueOutOfRange,
+    projected_size,
 )
 
 DEFAULT_MAX_STATES = 1 << 24
@@ -102,9 +105,10 @@ def check_states(n: int, q: int, max_states: int) -> int:
     """The state count q^n, refused over the scan guard ``max_states``."""
     m = q ** n
     if m > max_states:
+        states = projected_size(n * math.log2(q), lambda: m)
         raise SizeLimitExceeded(
-            f"state space {m} exceeds the scan guard {max_states}",
-            projected=m,
+            f"state space {states} exceeds the scan guard {max_states}",
+            projected=states,
         )
     return m
 

@@ -253,31 +253,40 @@ def brute_isomorphic(d1, d2) -> bool:
     return False
 
 
-def brute_table_orbits(q, k, self_pos) -> list[int]:
+def brute_table_orbits(q, k, self_pos, moved=None, output=True) -> list[int]:
     """For every table code on k inputs, the least code in its relabelling orbit.
 
     A table is coded sum(t[x] * q^x), cell x being little-endian in its k
     input digits. Every element of the group is applied directly: one
-    alphabet permutation per input digit, and one for the output, which is
-    input ``self_pos``'s own permutation when that is not None. The image
-    of t takes the value sigma_out(t[x]) at the cell whose digits are the
+    alphabet permutation per input digit in ``moved`` (all k by default),
+    and one for the output when ``output`` is true. Input ``self_pos``, when
+    not None, is the vertex reading itself: it and the output share one
+    permutation, so it is moved exactly when the output is. The image of t
+    takes the value sigma_out(t[x]) at the cell whose digits are the
     permuted digits of x.
     """
+    moved = set(range(k) if moved is None else moved)
+    if self_pos is not None and (self_pos in moved) != output:
+        raise ValueError("a vertex reading itself moves its input digit with its output")
     cells = q ** k
     cell_digits = [[x // q ** j % q for j in range(k)] for x in range(cells)]
-    coords = k + (self_pos is None)
-    group = list(itertools.product(itertools.permutations(range(q)), repeat=coords))
+    identity = tuple(range(q))
+    perms = list(itertools.permutations(range(q)))
+    # one factor per input digit, then the output's own factor
+    factors = [perms if j in moved and j != self_pos else [identity] for j in range(k)]
+    factors.append(perms if output else [identity])
     label = [None] * q ** cells
     for code in range(q ** cells):
         if label[code] is not None:
             continue
         table = [code // q ** x % q for x in range(cells)]
-        for sigma in group:
-            out = sigma[k if self_pos is None else self_pos]
+        for sigma in itertools.product(*factors):
+            out = sigma[k]
+            digit_perm = [out if j == self_pos else sigma[j] for j in range(k)]
             image = 0
             for x in range(cells):
-                moved = sum(sigma[j][cell_digits[x][j]] * q ** j for j in range(k))
-                image += out[table[x]] * q ** moved
+                moved_x = sum(digit_perm[j][cell_digits[x][j]] * q ** j for j in range(k))
+                image += out[table[x]] * q ** moved_x
             # codes are visited in order, so the first of an orbit is its least
             label[image] = code
     return label

@@ -135,14 +135,36 @@ class TestExitCodes:
         assert rc == 3
         assert "refused by guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_a_huge_family_is_refused_in_one_line(self, capsys, tmp_path, n):
+        # 2^(2^(n-1)) tables a vertex: the exact family size has thousands of
+        # digits, more than Python prints, so the refusal gives its log2
+        path = tmp_path / "complete.graph"
+        path.write_text(format_digraph(fx.complete(n)))
+        for strict in ([], ["--strict"]):
+            assert main(["enum", str(path), "--q", "2"] + strict) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: refused by guard: family has 2^{n * 2 ** (n - 1)}.0 "
+                           f"systems, over the guard 100000000"]
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_analyze_reports_a_huge_family_as_skipped(self, capsys, tmp_path, n):
+        path = tmp_path / "complete.graph"
+        path.write_text(format_digraph(fx.complete(n)))
+        rc = main(["analyze", str(path), "--q", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc in (0, 3)
+        assert doc["enumeration"]["status"] == "skipped(size)"
+        assert doc["enumeration"]["projected"] == f"2^{n * 2 ** (n - 1)}.0"
+
     def test_bad_q_is_two(self, capsys, star3_file):
         assert main(["enum", star3_file, "--q", "1"]) == 2
 
     def test_failed_integrity_check_is_one(self, capsys, monkeypatch, star3_file):
         real = kernels.family_histograms
 
-        def drop_one(w, counts, n_states):
-            rank, periodic, fixed = real(w, counts, n_states)
+        def drop_one(w, counts, n_states, mult):
+            rank, periodic, fixed = real(w, counts, n_states, mult)
             return rank - (rank == rank.max()), periodic, fixed
 
         monkeypatch.setattr(kernels, "family_histograms", drop_one)

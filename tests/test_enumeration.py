@@ -99,6 +99,45 @@ class TestEnumerateStats:
             enumerate_stats(dense, 2, strict=False, max_funcs=1000)
         assert err.value.projected == 2 ** 24
 
+    def test_function_guard_refuses_exactly_the_families_over_it(self):
+        # the guard reads a float log2 first; near the limit it counts exactly
+        checked = 0
+        for n in (1, 2, 3):
+            for d in small_digraphs(n):
+                for q, strict in itertools.product((2, 3), (False, True)):
+                    size = family_size(d, q, strict)
+                    for limit in {size - 1, size, size + 1, size // 3, 3 * size, 10 ** 8}:
+                        try:
+                            enumeration.price_family(d, q, strict, limit, 1 << 24)
+                            refused = False
+                        except SizeLimitExceeded as exc:
+                            refused = str(exc).startswith("family has")
+                            if refused:
+                                assert exc.projected == size
+                        assert refused == (size > limit), (d, q, strict, limit)
+                        checked += 1
+        assert checked > 10_000
+
+    def test_huge_families_are_priced_without_exact_counts(self, monkeypatch):
+        def exact(*args):
+            raise AssertionError("an exact count of a huge family")
+
+        monkeypatch.setattr(enumeration, "_table_counts", exact)
+        k12 = fx.complete(12)
+        for strict in (False, True):
+            with pytest.raises(SizeLimitExceeded) as err:
+                enumeration.price_family(k12, 2, strict, 10 ** 8, 1 << 24)
+            assert err.value.projected == "2^24576.0"
+            # with no function guard (minimum rank), the table bytes refuse:
+            # 2^2048 one-byte tables of 2^11 cells and their int64 digits
+            with pytest.raises(SizeLimitExceeded, match="sweep set-up") as err:
+                enumeration.price_family(k12, 2, strict, math.inf, 1 << 24)
+            assert err.value.projected == f"2^{2059 + math.log2(9):.1f}"
+        # states first: K30 has 2^30 states and 2^(2^29) tables a vertex
+        with pytest.raises(SizeLimitExceeded, match="state space") as err:
+            enumerate_stats(fx.complete(30), 2)
+        assert err.value.projected == 2 ** 30
+
     # vertex 1 reads all four vertices, itself included: 2^16 tables of 16
     # cells in 4336 alphabet orbits; the other three range over 2 constants
     FAN_IN = Digraph(4, [(u, 1) for u in range(1, 5)])
@@ -112,7 +151,7 @@ class TestEnumerateStats:
         # then a one-byte padded tensor of 4 * 4336 * 16 cells and one
         # vertex's one-byte gather of 4336 * 16
         d, reps = self.FAN_IN, self.FAN_IN_ORBITS
-        assert np.unique(enumeration._table_orbits(2, 4, 0)).size == reps
+        assert np.unique(enumeration._table_orbits(2, 4, group_coords(4, 0))).size == reps
         priced = self.FAN_IN_TABLES + (4 + 1) * reps * 16
         monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced - 1)
         with pytest.raises(SizeLimitExceeded) as err:
@@ -210,7 +249,7 @@ class TestEnumerateStats:
         enumeration._orbit_leaders.cache_clear()
         tracemalloc.start()
         try:
-            enumeration._sweep_tensor(d, q, strict, enumeration._reduced_vertex(d, q, strict))
+            enumeration._sweep_tensor(d, q, strict)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -276,6 +315,14 @@ def test_sweep_matches_the_explicit_table_product(family):
     assert report.fixed_point_free_fraction == Fraction(hists[2][0], total)
 
 
+def group_coords(k, self_pos, moved=None, output=True):
+    """The coordinates ``_table_orbits`` permutes for the group that
+    ``oracles.brute_table_orbits`` applies with the same arguments."""
+    moved = range(k) if moved is None else sorted(moved)
+    return (tuple((j, j == self_pos) for j in moved)
+            + ((None, True),) * (output and self_pos is None))
+
+
 # every (q, k, self_pos) with q <= 6 and at most 20000 tables on k inputs
 ORBIT_CASES = [
     (q, k, self_pos)
@@ -288,7 +335,7 @@ class TestTableOrbits:
     @pytest.mark.parametrize("q,k,self_pos", ORBIT_CASES,
                              ids=[f"q{q}-k{k}-{s}" for q, k, s in ORBIT_CASES])
     def test_matches_the_whole_group(self, q, k, self_pos):
-        label = enumeration._table_orbits(q, k, self_pos)
+        label = enumeration._table_orbits(q, k, group_coords(k, self_pos))
         assert label.tolist() == oracles.brute_table_orbits(q, k, self_pos)
         sizes = np.bincount(label)
         sizes = sizes[sizes > 0]
@@ -296,11 +343,29 @@ class TestTableOrbits:
         order = math.factorial(q) ** (k + (self_pos is None))
         assert all(order % int(s) == 0 for s in sizes)
 
+    @pytest.mark.parametrize("q,k,self_pos", ORBIT_CASES,
+                             ids=[f"q{q}-k{k}-{s}" for q, k, s in ORBIT_CASES])
+    def test_matches_every_chain_group(self, q, k, self_pos):
+        # a later vertex of the chain permutes only the coordinates no earlier
+        # vertex claimed: any subset of its input digits, with or without its
+        # output, and its own input digit exactly when its output
+        for size in range(k + 1):
+            for moved in itertools.combinations(range(k), size):
+                for output in (False, True):
+                    if self_pos is not None and (self_pos in moved) != output:
+                        continue
+                    if size == k and output:
+                        continue  # the whole group, checked above
+                    label = enumeration._table_orbits(
+                        q, k, group_coords(k, self_pos, moved, output))
+                    assert label.tolist() == oracles.brute_table_orbits(
+                        q, k, self_pos, moved, output), (moved, output)
+
     @pytest.mark.parametrize("q,k,self_pos,loose,strict", [
         (2, 3, 0, 46, 33), (2, 3, 2, 46, 33), (3, 2, None, 139, None), (3, 2, 0, 638, None),
     ])
     def test_orbit_counts(self, q, k, self_pos, loose, strict):
-        reps = np.unique(enumeration._table_orbits(q, k, self_pos))
+        reps = np.unique(enumeration._table_orbits(q, k, group_coords(k, self_pos)))
         assert reps.size == loose
         if strict is not None:
             essential = enumeration._essential_selector(q, k)
@@ -308,7 +373,7 @@ class TestTableOrbits:
 
     def test_orbits_never_mix_essential_and_inessential_tables(self):
         for q, k, self_pos in ORBIT_CASES:
-            label = enumeration._table_orbits(q, k, self_pos)
+            label = enumeration._table_orbits(q, k, group_coords(k, self_pos))
             essential = np.zeros(label.size, dtype=bool)
             essential[enumeration._essential_selector(q, k)] = True
             assert np.array_equal(essential, essential[label])
@@ -324,16 +389,81 @@ REDUCIBLE_FAMILIES = [
 ]
 
 
+# families where the chain reduces at least two vertices: 1>2,1>3,2>2 at q=3
+# (vertex 2 claims {1, 2}, vertex 3 claims {3}), and one at 81 states where
+# vertices 1, 2 and 4 each keep fewer tables than they have
+CHAIN_FAMILIES = [
+    (Digraph(3, [(1, 2), (1, 3), (2, 2)]), 3),
+    (Digraph(3, [(1, 2), (2, 3), (3, 1)]), 3),
+    (Digraph(4, [(3, 1), (1, 2)]), 3),
+]
+
+
+def chain_histograms(d, q, strict):
+    """The kernel's histograms over the chain's rows, before any total check."""
+    w, counts, mult = enumeration._sweep_tensor(d, q, strict)
+    return np.array(kernels.family_histograms(w, counts, q ** d.n, mult))
+
+
+def assert_chain_sweep_is_the_unreduced_sweep(d, q, strict):
+    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n))
+    assert np.array_equal(chain_histograms(d, q, strict), unreduced)
+    report = enumerate_stats(d, q, strict=strict)
+    for stats, hist in zip(report.quantities().values(), unreduced):
+        assert stats.histogram == {int(v): int(c) for v, c in enumerate(hist) if c}
+
+
 @given(st.sampled_from(REDUCIBLE_FAMILIES))
 @example((LOOPED_K3, 2, False))
 @example((LOOPED_K3, 2, True))
 @settings(max_examples=40, deadline=None)
 def test_orbit_sweep_equals_the_unreduced_sweep(family):
-    d, q, strict = family
-    report = enumerate_stats(d, q, strict=strict)
-    hists = kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n)
-    for stats, hist in zip(report.quantities().values(), hists):
-        assert stats.histogram == {int(v): int(c) for v, c in enumerate(hist) if c}
+    assert_chain_sweep_is_the_unreduced_sweep(*family)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+@pytest.mark.parametrize("d,q", CHAIN_FAMILIES,
+                         ids=[f"{q}^{d.n}-{d.m}" for d, q in CHAIN_FAMILIES])
+def test_chain_sweep_equals_the_unreduced_sweep(d, q, strict):
+    groups = enumeration._chain_groups(d, q, strict)
+    kept = [enumeration._orbit_leaders(q, len(d.in_neighbors(v + 1)), g, strict)[0].size
+            for v, g in enumerate(groups)]
+    assert sum(k < c for k, c in zip(kept, enumeration._table_counts(d, q, strict))) >= 2
+    assert_chain_sweep_is_the_unreduced_sweep(d, q, strict)
+
+
+@pytest.mark.parametrize("d,q", CHAIN_FAMILIES[:1] + [(fx.C3_LOOPED, 2)],
+                         ids=["3^3-3", "2^3-6"])
+def test_a_wrong_weight_is_caught(monkeypatch, d, q):
+    # one row's multiplicity off by one, at each vertex in turn
+    real = enumeration._sweep_tensor
+    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, False), q ** d.n))
+    for v in range(d.n):
+        def off_by_one(*args, v=v):
+            w, counts, mult = real(*args)
+            mult = [m.copy() for m in mult]  # the cached multiplicities stay intact
+            mult[v][-1] += 1
+            return w, counts, mult
+
+        monkeypatch.setattr(enumeration, "_sweep_tensor", off_by_one)
+        assert not np.array_equal(chain_histograms(d, q, False), unreduced)
+        with pytest.raises(IntegrityError):
+            enumerate_stats(d, q)
+
+
+def test_one_kernel_call_per_sweep(monkeypatch):
+    real, calls = kernels.family_histograms, []
+
+    def counted(*args):
+        calls.append(args[1].tolist())
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "family_histograms", counted)
+    for d, q in CHAIN_FAMILIES + [(LOOPED_K3, 2), (fx.C3, 2)]:
+        for strict in (False, True):
+            calls.clear()
+            enumerate_stats(d, q, strict=strict)
+            assert len(calls) == 1, (d, q, strict)
 
 
 class TestMinrankExact:
@@ -343,11 +473,13 @@ class TestMinrankExact:
         assert minrank_exact(fx.E3, 2) == 1
 
     def test_agrees_with_enumeration(self):
-        # the search tries one table per alphabet orbit at the vertex with
-        # most tables, the sweep weights them: every digraph with n <= 3 at
-        # q=2 and n <= 2 at q=3
+        # the search tries one table per orbit of each vertex's chain group,
+        # the sweep weights them: every digraph with n <= 3 at q=2, and at
+        # q=3 every digraph with n <= 3 whose loose family fits the verify
+        # battery's 2M budget
         families = [(d, 2) for n in (1, 2, 3) for d in small_digraphs(n)]
-        families += [(d, 3) for n in (1, 2) for d in small_digraphs(n)]
+        families += [(d, 3) for n in (1, 2, 3) for d in small_digraphs(n)
+                     if family_size(d, 3, False) <= 2_000_000]
         for d, q in families:
             swept = enumerate_stats(d, q, strict=True, max_funcs=math.inf)
             assert minrank_exact(d, q) == swept.rank.minimum, (d, q)
@@ -401,8 +533,8 @@ DROP_ONE_SYSTEM = textwrap.dedent("""
         sys.exit("asserts are on")
     real = kernels.family_histograms
     for which in range(3):
-        def drop_one(w, counts, n_states):
-            hists = [h.copy() for h in real(w, counts, n_states)]
+        def drop_one(w, counts, n_states, mult):
+            hists = [h.copy() for h in real(w, counts, n_states, mult)]
             hists[which][np.nonzero(hists[which])[0][0]] -= 1
             return tuple(hists)
         kernels.family_histograms = drop_one
@@ -419,10 +551,10 @@ def test_kernel_dropping_a_system_raises_typed_error_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run([sys.executable, "-O", "-c", DROP_ONE_SYSTEM], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    # vertex 1 of C3 has four tables in two orbits of two (constants, and
-    # identity with negation): one kernel call weighted 2, so the drop costs 2
+    # the kernel weights each system by its orbit sizes inside its one call,
+    # so a dropped system is one system short of the family
     assert out.splitlines() == [
-        f"{name} histogram counts 62 systems, family has 64"
+        f"{name} histogram counts 63 systems, family has 64"
         for name in ("rank", "periodic rank", "fixed point")
     ]
 

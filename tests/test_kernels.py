@@ -1,6 +1,7 @@
 """The sweep kernel against a reference that evaluates each system on its own."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,18 +11,21 @@ from fdsrank import kernels
 from fdsrank.digraph import Digraph
 
 
-def reference_histograms(w, counts, n_states):
-    """Rank, periodic rank and fixed points of every system, one at a time."""
+def reference_histograms(w, counts, n_states, mult=None):
+    """Rank, periodic rank and fixed points of every system, one at a time,
+    each counted the product of its rows' multiplicities."""
     hist = np.zeros((3, n_states + 1), dtype=np.int64)
-    rows = [[[int(x) for x in w[v, t]] for t in range(int(c))] for v, c in enumerate(counts)]
+    rows = [[([int(x) for x in w[v, t]], 1 if mult is None else int(mult[v][t]))
+             for t in range(int(c))] for v, c in enumerate(counts)]
     for choice in itertools.product(*rows):
-        f = [sum(values) for values in zip(*choice)]
+        f = [sum(values) for values in zip(*(row for row, _ in choice))]
+        times = math.prod(m for _, m in choice)
         periodic = set(range(n_states))
         for _ in range(n_states):
             periodic = {f[x] for x in periodic}
-        hist[0, len(set(f))] += 1
-        hist[1, len(periodic)] += 1
-        hist[2, sum(f[x] == x for x in range(n_states))] += 1
+        hist[0, len(set(f))] += times
+        hist[1, len(periodic)] += times
+        hist[2, sum(f[x] == x for x in range(n_states))] += times
     return hist
 
 
@@ -51,9 +55,9 @@ def random_family(rng, n, q, strict, max_systems):
     return stack(rows, q ** n)
 
 
-def assert_matches_reference(w, counts, n_states):
-    got = np.array(kernels.family_histograms(w, counts, n_states))
-    assert np.array_equal(got, reference_histograms(w, counts, n_states))
+def assert_matches_reference(w, counts, n_states, mult=None):
+    got = np.array(kernels.family_histograms(w, counts, n_states, mult))
+    assert np.array_equal(got, reference_histograms(w, counts, n_states, mult))
 
 
 # (vertices, alphabet) for 4, 8, 9, 16, 27, 32, 81 and 128 states: every word
@@ -106,3 +110,34 @@ def test_narrow_input_rows_give_the_same_histograms():
     narrow = kernels.family_histograms(w.astype(np.uint8), counts, 27)
     for a, b in zip(wide, narrow):
         assert np.array_equal(a, b)
+
+
+def random_mult(rng, counts, weighted):
+    """Multiplicities 1..6 for the rows of the ``weighted`` vertices, one
+    shared multiplicity for each of the others."""
+    return [rng.integers(1, 7, size=int(c)) if v in weighted
+            else np.full(int(c), rng.integers(1, 4)) for v, c in enumerate(counts)]
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (4, 3)], ids=["4", "8", "9", "81"])
+def test_weighted_rows_count_their_multiplicity(n, q):
+    # weights on every subset of vertices: all rows equal, one vertex, all
+    rng = np.random.default_rng(10 * n + q)
+    n_states = q ** n
+    for weighted in [(), (0,), (n - 1,), tuple(range(n))]:
+        w, counts = random_family(rng, n, q, False, max_systems=max(8, 4096 // n_states))
+        assert_matches_reference(w, counts, n_states, random_mult(rng, counts, weighted))
+
+
+@pytest.mark.parametrize("weighted", [(), (1,), (3,), (0, 1), (0, 2, 3)],
+                         ids=["none", "outer", "inner", "prefix-boundary", "mixed"])
+def test_weighted_family_over_many_blocks(monkeypatch, weighted):
+    # 24-column blocks as in test_family_over_many_blocks: weighted vertices
+    # land on the prefix, the boundary and the inner product in turn
+    n_states = 16
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", 24 * n_states)
+    rng = np.random.default_rng(len(weighted) + 7 * sum(weighted))
+    rows = [rng.integers(0, 2, size=(size, n_states)) * 2 ** v
+            for v, size in enumerate((5, 7, 3, 4))]
+    w, counts = stack(rows, n_states)
+    assert_matches_reference(w, counts, n_states, random_mult(rng, counts, weighted))

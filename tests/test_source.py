@@ -192,4 +192,18 @@ def test_one_sweep_path_through_the_orbit_reduction():
     params = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
               for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert params["enumerate_stats"] == ["d", "q", "strict", "max_funcs", "max_states"]
-    assert params["_sweep_tensor"] == ["d", "q", "strict", "v0"]
+    # the chain picks every vertex's group itself: no caller names a vertex
+    assert params["_sweep_tensor"] == ["d", "q", "strict"]
+
+
+def test_kernels_bin_in_integers():
+    # weighted histograms are exact int64 sums: np.bincount(weights=...)
+    # would bin in float64, which rounds counts past 2^53
+    found = []
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (getattr(func, "id", None) or getattr(func, "attr", None)) == "bincount":
+            if len(node.args) > 1 or any(kw.arg == "weights" for kw in node.keywords):
+                found.append(node.lineno)
+    assert found == []
