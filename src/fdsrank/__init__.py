@@ -11,6 +11,7 @@ from .digraph import (
     read_digraph,
     shortest_cycle,
     structure_stats,
+    twin_classes,
     weak_components,
 )
 from .errors import (

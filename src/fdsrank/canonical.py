@@ -393,9 +393,16 @@ def absolute_minrank_bounds(d: Digraph) -> MinrankBounds:
     """
     c = canonicalize(d)
     try:
-        lower = product_bound(c)
+        product = product_bound(c)
     except SizeLimitExceeded:
-        lower = chain_bound(c)
+        product = None
+    return minrank_bracket(d, c, product)
+
+
+def minrank_bracket(d: Digraph, c: CanonicalGraph, product: int | None) -> MinrankBounds:
+    """:func:`absolute_minrank_bounds` from the canonical graph ``c`` of ``d``
+    and its product bound, None where that bound was refused."""
+    lower = chain_bound(c) if product is None else product
     upper = math.prod(_piece_upper(p) for p in _pieces(c))
     return MinrankBounds(
         lower=lower,

@@ -17,11 +17,11 @@ from functools import lru_cache
 from . import fixtures
 from .bounds import entropy_report, fix_bounds_report
 from .canonical import (
-    absolute_minrank_bounds,
     canonicalize,
     chain_bound,
     format_canonical,
     independent_set_bound,
+    minrank_bracket,
     minrank_classify,
     product_bound,
     tightness_classify,
@@ -101,22 +101,26 @@ def cmd_analyze(args) -> int:
             "sinks": list(st.sink_list),
         }
 
+    # the canonical and minrank sections share one canonical graph and one
+    # product bound, the costliest step of both
+    c = canonicalize(d)
+    product = _entry(product_bound, c)
+
     def canonical_summary():
         # each bound answers or is skipped on its own; tight needs L and U
-        c = canonicalize(d)
         lower, upper = _entry(chain_bound, c), _entry(independent_set_bound, c)
         refused = [b for b in (lower, upper) if isinstance(b, dict)]
         return {
             "A_size": len(c.sources),
             "B_size": len(c.sinks),
             "L": lower,
-            "Lp": _entry(product_bound, c),
+            "Lp": product,
             "U": upper,
             "tight": refused[0] if refused else tightness_classify(c).tight,
         }
 
     def minrank_section():
-        b = absolute_minrank_bounds(d)
+        b = minrank_bracket(d, c, None if isinstance(product, dict) else product)
         return {
             "classification": minrank_classify(d),
             "lower": b.lower,

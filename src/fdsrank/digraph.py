@@ -170,6 +170,34 @@ def weak_components(d: Digraph) -> list[list[int]]:
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
+def twin_classes(d: Digraph) -> list[list[int]]:
+    """Classes of twin vertices as sorted vertex lists, in vertex order.
+
+    u and v are twins when swapping them is an automorphism: equal in- and
+    out-neighbourhoods once {u, v} is removed, both looped or neither, and
+    both or neither of the arcs (u, v) and (v, u). Since (u w) equals
+    (u v)(v w)(u v), twinship is an equivalence, so each vertex is compared
+    with the first vertex of each class found so far.
+    """
+    ins, outs = d.in_map(), d.out_map()
+
+    def twins(u: int, v: int) -> bool:
+        pair = {u, v}
+        return (ins[u] - pair == ins[v] - pair and outs[u] - pair == outs[v] - pair
+                and ((u, u) in d.arcs) == ((v, v) in d.arcs)
+                and ((u, v) in d.arcs) == ((v, u) in d.arcs))
+
+    classes: list[list[int]] = []
+    for v in d.vertices():
+        for cls in classes:
+            if twins(cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 def is_strongly_connected(d: Digraph) -> bool:
     if d.n == 1:
         return True

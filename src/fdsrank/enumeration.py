@@ -3,8 +3,9 @@
 ``enumerate_stats`` sweeps the table product for a digraph: the strict
 family fixes the interaction graph exactly (every local table must depend
 essentially on each declared input), the loose family only requires
-containment. Averages are exact rationals. The sweep and ``minrank_exact``
-read one narrow tensor, built by :func:`_sweep_tensor`. One guard,
+containment. Averages are exact rationals. Each kernel call of the sweep
+and ``minrank_exact`` read a narrow tensor built by :func:`_sweep_tensor`
+from the rows they keep. One guard,
 :func:`price_family`, refuses oversized sweeps with the projected size:
 the state-space guard of :mod:`fds`, a function-count guard
 (``DEFAULT_MAX_FUNCS`` unless the caller passes ``max_funcs``), and a cap on
@@ -41,10 +42,39 @@ multiplicity. A vertex with nothing left to claim keeps all its tables at
 weight 1. ``minrank_exact`` tries the same rows: conjugating a system by an
 element of K_0 puts a representative at v_0, then one of K_1, which keeps
 v_0's table, puts one at v_1, and so on, and the rank does not change.
+
+Twin vertices cut the sweep further. Two vertices are twins when swapping
+them is an automorphism of the graph (``digraph.twin_classes``). Every
+table has a key, its sorted value frequencies (:func:`_table_keys`):
+relabelling a table's inputs permutes its cells and an alphabet
+permutation permutes its values, so neither changes the key. For each
+class C of twins, the sweep takes one sub-product per multiset of keys
+over C, the sorted key tuple in vertex order, weighted by the number
+|C|! / (m_1! m_2! ...) of key tuples with that multiset, and takes the
+Cartesian product of these across classes. This is exact:
+
+- a twin transposition (u v) conjugates the family onto itself, since it
+  is an automorphism: it keeps every table's inputs up to their order and
+  keeps essential dependence, so strict tables stay strict. It keeps rank,
+  periodic rank and fixed points. It carries the table at u to one at v
+  with cells permuted, so key κ_u at u becomes κ_u at v, and every other
+  vertex keeps its key;
+- so the systems of key tuples in one orbit of the permutations of C,
+  which the twin transpositions generate, have equal histograms;
+- each key class is a union of chain orbits, since K_i only permutes the
+  cells and values of a table, so K_i maps the systems of one key tuple
+  onto themselves and the chain's argument holds inside a sub-product: it
+  keeps the chain's rows of its keys, with their orbit sizes.
+
+One kernel call sweeps each sub-product, and its histograms are scaled by
+the sub-product's weight in int64. The sweep takes whichever plan, the
+chain's rows whole or the twin split, takes fewer kernel blocks
+(:func:`_sweep_plan`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +85,7 @@ import numpy as np
 from . import kernels
 from .canonical import canonicalize, product_bound
 from .constructions import conjunctive_rank
-from .digraph import Digraph, fingerprint
+from .digraph import Digraph, fingerprint, twin_classes
 from .errors import IntegrityError, SizeLimitExceeded, projected_size
 from .fds import (
     DEFAULT_MAX_STATES,
@@ -286,7 +316,10 @@ def price_family(
     earlier steps keep. When those fit, the labellings (cached for the
     set-up) give the rows each vertex keeps, and the padded tensor and one
     vertex's gather (rows x states) are priced at the most rows any vertex
-    keeps. ``max_funcs`` is an already resolved limit.
+    keeps; a sub-product of the twin split keeps fewer. The split's key
+    labels, at most 4 bytes a table, fit in the freed int64 digit matrix,
+    and its row positions, 8 bytes a kept row, in fewer than the tensor's
+    bytes a kept row. ``max_funcs`` is an already resolved limit.
     """
     n_states = check_states(d.n, q, max_states)
     ins = d.in_map()
@@ -328,12 +361,16 @@ def price_family(
     return family_size(d, q, strict), n_states
 
 
-def _chain_groups(d: Digraph, q: int, strict: bool) -> list[tuple[tuple[int | None, bool], ...]]:
+@lru_cache(maxsize=64)
+def _chain_groups(
+    d: Digraph, q: int, strict: bool
+) -> tuple[tuple[tuple[int | None, bool], ...], ...]:
     """For each vertex from 0, the coordinates its alphabet group K_i permutes.
 
     Vertices are taken most tables first, lowest index on ties; each claims
     the coordinates of itself and its inputs that no earlier vertex claimed,
-    as :func:`_table_orbits` reads them.
+    as :func:`_table_orbits` reads them. Cached: the guard and the sweep of
+    one family both read them.
     """
     counts = _table_counts(d, q, strict)
     ins = d.in_map()
@@ -345,7 +382,7 @@ def _chain_groups(d: Digraph, q: int, strict: bool) -> list[tuple[tuple[int | No
         claimed |= claim
         coords = tuple((j, u == own) for j, u in enumerate(inputs) if u in claim)
         groups[v] = coords + ((None, True),) * (own in claim and own not in inputs)
-    return groups
+    return tuple(groups)
 
 
 @lru_cache(maxsize=64)
@@ -369,28 +406,131 @@ def _orbit_leaders(q: int, k: int, coords, strict: bool) -> tuple[np.ndarray, np
     return codes, sizes[codes]
 
 
+def _chain_rows(d: Digraph, q: int, strict: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each vertex from 0, the codes of the tables it keeps, one per orbit
+    of its chain group, and each one's orbit size."""
+    ins = d.in_map()
+    inputs = [sorted(ins[v]) for v in d.vertices()]
+    for k in {len(i) for i in inputs}:  # free each int64 digit matrix before any tensor exists
+        (_essential_selector if strict else _all_tables)(q, k)
+    return [_orbit_leaders(q, len(i), coords, strict)
+            for i, coords in zip(inputs, _chain_groups(d, q, strict))]
+
+
 def _sweep_tensor(
-    d: Digraph, q: int, strict: bool
+    d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]],
+    picks: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Padded tensor ``w``, live row counts and each live row's multiplicity.
 
-    ``w[v, t]`` is the t-th table vertex v+1 keeps times q^v: one table per
-    orbit of its chain group, the least code, whose multiplicity is the
-    orbit's size.
+    ``rows[v]`` holds the codes of the tables vertex v+1 keeps and their
+    multiplicities. ``picks``, when given, keeps at each vertex v it names
+    only the rows at positions ``picks[v]``. ``w[v, t]`` is the t-th kept
+    table times q^v.
+    """
+    if picks:
+        rows = [(codes[picks[v]], sizes[picks[v]]) if v in picks else (codes, sizes)
+                for v, (codes, sizes) in enumerate(rows)]
+    ins = d.in_map()
+    counts = np.array([codes.size for codes, _ in rows], dtype=np.int64)
+    w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.min_scalar_type(q ** d.n - 1))
+    for v, (codes, _) in enumerate(rows):
+        inputs = sorted(ins[v + 1])
+        tables = _all_tables(q, len(inputs))
+        np.multiply(tables[np.ix_(codes, input_index(d.n, q, inputs))], w.dtype.type(q ** v),
+                    out=w[v, : counts[v]], casting="unsafe")
+    return w, counts, [sizes for _, sizes in rows]
+
+
+@lru_cache(maxsize=64)
+def _table_keys(q: int, k: int) -> np.ndarray:
+    """For every table on k inputs, a label of its sorted value frequencies.
+
+    A table's code is its row in ``_all_tables(q, k)``. Relabelling inputs
+    permutes a table's cells and an alphabet permutation permutes its
+    values, so neither changes the label.
+    """
+    tables = _all_tables(q, k)
+    cells = q ** k
+    freq = np.zeros((tables.shape[0], q), dtype=np.min_scalar_type(cells))
+    for y in range(cells):  # one cell at a time: no wide copy of the table matrix
+        for a in range(q):
+            freq[:, a] += tables[:, y] == a
+    freq.sort(axis=1)
+    label = np.zeros(tables.shape[0], dtype=np.min_scalar_type((cells + 1) ** q - 1))
+    for a in range(q):
+        label *= label.dtype.type(cells + 1)
+        label += freq[:, a]
+    return label
+
+
+def _key_multisets(keys: list[int], size: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Each multiset of ``size`` keys as a sorted tuple, with the number of
+    key tuples it is the multiset of: size! / (m_1! m_2! ...)."""
+    return [(math.factorial(size) // math.prod(math.factorial(combo.count(key))
+                                               for key in set(combo)), combo)
+            for combo in itertools.combinations_with_replacement(keys, size)]
+
+
+def _kernel_blocks(systems: int, cols: int) -> int:
+    """Kernel blocks of ``cols`` maps that a table product of ``systems`` takes."""
+    return -(-systems // cols)
+
+
+def _twin_split(
+    d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]], cols: int, plain: int
+) -> list[tuple[int, dict[int, np.ndarray]]]:
+    """The sub-products of the twin split, when they take fewer kernel blocks
+    than ``plain``, else [].
+
+    A sub-product is its weight and, for each twin vertex, the positions of
+    the rows it keeps there. When there are at least as many sub-products as
+    ``plain`` blocks, none is listed.
     """
     ins = d.in_map()
-    inputs = [sorted(ins[v]) for v in d.vertices()]
-    for k in {len(i) for i in inputs}:  # free each int64 digit matrix before w exists
-        (_essential_selector if strict else _all_tables)(q, k)
-    kept = [_orbit_leaders(q, len(i), coords, strict)
-            for i, coords in zip(inputs, _chain_groups(d, q, strict))]
-    counts = np.array([codes.size for codes, _ in kept], dtype=np.int64)
-    w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.min_scalar_type(q ** d.n - 1))
-    for v, (codes, _) in enumerate(kept):
-        tables = _all_tables(q, len(inputs[v]))
-        np.multiply(tables[np.ix_(codes, input_index(d.n, q, inputs[v]))], w.dtype.type(q ** v),
-                    out=w[v, : counts[v]], casting="unsafe")
-    return w, counts, [sizes for _, sizes in kept]
+    classes = [[v - 1 for v in c] for c in twin_classes(d) if len(c) > 1]
+    if not classes:
+        return []
+    # twins read equally many inputs, and each keeps rows of every key of
+    # their tables, since each key class is a union of chain orbits
+    labels = [_table_keys(q, len(ins[c[0] + 1])) for c in classes]
+    keys = [np.unique(label[rows[c[0]][0]]).tolist() for c, label in zip(classes, labels)]
+    count = math.prod(math.comb(len(c) + len(k) - 1, len(c)) for c, k in zip(classes, keys))
+    if count >= plain:
+        return []
+    parts = {}  # the positions of each key's rows at each twin vertex
+    for c, label, ks in zip(classes, labels, keys):
+        for v in c:
+            key = label[rows[v][0]]
+            parts[v] = {k: np.flatnonzero(key == k) for k in ks}
+    split, blocks = [], 0
+    for choice in itertools.product(*(_key_multisets(k, len(c)) for c, k in zip(classes, keys))):
+        picks = {v: parts[v][key]
+                 for c, (_, combo) in zip(classes, choice) for v, key in zip(c, combo)}
+        systems = math.prod(picks[v].size if v in picks else codes.size
+                            for v, (codes, _) in enumerate(rows))
+        if systems:  # a key missing at some twin leaves the totals short
+            split.append((math.prod(weight for weight, _ in choice), picks))
+            blocks += _kernel_blocks(systems, cols)
+    return split if blocks < plain else []
+
+
+def _sweep_plan(
+    d: Digraph, q: int, strict: bool, n_states: int
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[int, dict[int, np.ndarray]]]]:
+    """The chain's rows and the sweep's kernel calls, each a weight and its picks.
+
+    The plan is the chain's rows whole, one call at weight 1 with no picks,
+    or the twin split's sub-products at their multinomial weights, whichever
+    takes fewer kernel blocks: the sum over calls of ceil(rows product /
+    cols), where a block holds cols maps. A plain plan of one block is kept
+    without looking for twins.
+    """
+    rows = _chain_rows(d, q, strict)
+    cols = max(1, kernels.BLOCK_CELLS // n_states)
+    plain = _kernel_blocks(math.prod(codes.size for codes, _ in rows), cols)
+    split = _twin_split(d, q, rows, cols, plain) if plain > 1 else []
+    return rows, split or [(1, {})]
 
 
 def enumerate_stats(
@@ -407,9 +547,12 @@ def enumerate_stats(
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
     total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    w, counts, mult = _sweep_tensor(d, q, strict)
-    hists = kernels.family_histograms(w, counts, n_states, mult)
-    # the only guard against a kernel that drops or double-counts systems
+    hists = np.zeros((3, n_states + 1), dtype=np.int64)
+    rows, plan = _sweep_plan(d, q, strict, n_states)
+    for weight, picks in plan:
+        w, counts, mult = _sweep_tensor(d, q, rows, picks)
+        hists += weight * np.array(kernels.family_histograms(w, counts, n_states, mult))
+    # the only guard against a kernel or a weight that drops or double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
         if int(hist.sum()) != total:
             raise IntegrityError(
@@ -456,7 +599,7 @@ def minrank_exact(
     ins = d.in_map()
     # every vertex tries one table per orbit of its chain group: some minimizer
     # has a representative at each vertex (see the module docstring)
-    w, counts, _mult = _sweep_tensor(d, q, True)
+    w, counts, _mult = _sweep_tensor(d, q, _chain_rows(d, q, True))
 
     # product factors for suffixes whose coordinates are disjoint from the prefix
     factors = [1] * (d.n + 1)

@@ -253,6 +253,25 @@ def brute_isomorphic(d1, d2) -> bool:
     return False
 
 
+def brute_twins(d) -> list[list[int]]:
+    """For each vertex, itself and every vertex it swaps with by an
+    automorphism, each such set once, in vertex order.
+
+    Each transposition (u v) is applied to every arc. The sets partition
+    the vertices exactly when twinship is an equivalence.
+    """
+    def swaps(u, v):
+        image = {u: v, v: u}
+        return {(image.get(a, a), image.get(b, b)) for a, b in d.arcs} == d.arcs
+
+    sets = []
+    for v in d.vertices():
+        twins = [u for u in d.vertices() if u == v or swaps(u, v)]
+        if twins not in sets:
+            sets.append(twins)
+    return sets
+
+
 def brute_table_orbits(q, k, self_pos, moved=None, output=True) -> list[int]:
     """For every table code on k inputs, the least code in its relabelling orbit.
 

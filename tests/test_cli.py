@@ -3,10 +3,11 @@ import time
 
 import pytest
 
-from fdsrank import cli, kernels, ratlp
+from fdsrank import canonical, cli, enumeration, kernels, ratlp
 from fdsrank import fixtures as fx
 from fdsrank.cli import main
 from fdsrank.digraph import Digraph, format_digraph
+from fdsrank.errors import SizeLimitExceeded
 from fdsrank.fds import parse_fds
 
 
@@ -117,6 +118,44 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert rc == 0
         assert "canonical.U: 4" in out
+
+
+def count_calls(monkeypatch, fn, modules):
+    """Count the calls to ``fn`` through the given modules."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestAnalyzeSharesTheCanonicalGraph:
+    def test_one_canonical_graph_and_one_product_bound(self, capsys, monkeypatch, fig1_file):
+        # the canonical and minrank sections; conjunctive_rank canonicalizes
+        # on its own, and nothing else computes a product bound
+        canonicalized = count_calls(monkeypatch, canonical.canonicalize, [cli, canonical])
+        bounded = count_calls(monkeypatch, canonical.product_bound, [cli, canonical, enumeration])
+        rc, doc = run_json(capsys, ["analyze", fig1_file, "--q", "2"])
+        assert rc == 0 and len(canonicalized) == len(bounded) == 1
+        bounds = canonical.absolute_minrank_bounds(fx.FIG1)
+        assert doc["canonical"]["Lp"] == bounds.lower
+        assert (doc["minrank"]["lower"], doc["minrank"]["upper"]) == (bounds.lower, bounds.upper)
+
+    def test_a_refused_product_bound_falls_back_to_the_chain_bound(
+            self, capsys, monkeypatch, fig1_file):
+        def refused(c):
+            raise SizeLimitExceeded("product bound refused", projected=99)
+
+        monkeypatch.setattr(cli, "product_bound", refused)
+        rc, doc = run_json(capsys, ["analyze", fig1_file, "--q", "2"])
+        assert rc == 0
+        assert doc["canonical"]["Lp"]["status"] == "skipped(size)"
+        assert doc["minrank"]["lower"] == doc["canonical"]["L"]
+        assert doc["minrank"]["status"] == "ok"
 
 
 class TestExitCodes:

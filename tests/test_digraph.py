@@ -17,6 +17,7 @@ from fdsrank.digraph import (
     parse_digraph,
     shortest_cycle,
     structure_stats,
+    twin_classes,
     weak_components,
 )
 from fdsrank.errors import GraphFormatError
@@ -97,6 +98,50 @@ def test_arc_validation():
 def test_weak_components():
     d = Digraph(5, [(1, 2), (4, 5)])
     assert weak_components(d) == [[1, 2], [3], [4, 5]]
+
+
+def _blown_up_digraph(rng, n):
+    """A random digraph whose vertices fall into random modules, every two
+    vertices of one module twins, with one arc sometimes flipped."""
+    m = rng.randint(1, n)
+    module = [rng.randrange(m) for _ in range(n)]
+    loop = [rng.random() < 0.5 for _ in range(m)]
+    inner = [rng.random() < 0.5 for _ in range(m)]
+    outer = {(a, b) for a in range(m) for b in range(m) if a != b and rng.random() < 0.4}
+    arcs = set()
+    for u, v in itertools.product(range(n), repeat=2):
+        a, b = module[u], module[v]
+        if (loop[a] if u == v else inner[a] if a == b else (a, b) in outer):
+            arcs.add((u + 1, v + 1))
+    if rng.random() < 0.3:
+        arcs ^= {(rng.randint(1, n), rng.randint(1, n))}
+    return Digraph(n, arcs)
+
+
+def test_twin_classes_against_brute_force():
+    # every digraph on 1..3 vertices, then seeded 4..6 vertex digraphs:
+    # plain random ones, and blown-up ones that have twins by construction
+    graphs = [d for n in (1, 2, 3) for d in small_digraphs(n)]
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(4, 6)
+        pairs = itertools.product(range(1, n + 1), repeat=2)
+        graphs.append(Digraph(n, [pr for pr in pairs if rng.random() < 0.4]))
+        graphs.append(_blown_up_digraph(rng, n))
+    with_twins = 0
+    for d in graphs:
+        classes = oracles.brute_twins(d)
+        assert sum(map(len, classes)) == d.n, d  # twinship is an equivalence
+        assert twin_classes(d) == classes, d
+        with_twins += d.n > 3 and len(classes) < d.n
+    assert with_twins >= 100
+
+
+def test_twin_classes_of_the_complete_looped_graph_and_its_deletions():
+    full = [(u, v) for u in (1, 2, 3) for v in (1, 2, 3)]
+    assert twin_classes(Digraph(3, full)) == [[1, 2, 3]]
+    assert twin_classes(Digraph(3, [a for a in full if a != (3, 3)])) == [[1, 2], [3]]
+    assert twin_classes(Digraph(3, [a for a in full if a != (1, 2)])) == [[1], [2], [3]]
 
 
 def test_strong_connectivity():

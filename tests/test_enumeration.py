@@ -236,6 +236,9 @@ class TestEnumerateStats:
         (3, Digraph(2, [(1, 1), (2, 1), (2, 2)])),
         (3, Digraph(3, [(1, 1), (2, 1), (1, 2)])),
         (3, Digraph(3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])),
+        # twins 1, 2 read every vertex, twins 3, 4 none: the plan labels
+        # every key of 2^16 tables and splits
+        (2, Digraph(4, [(u, v) for u in range(1, 5) for v in (1, 2)])),
     ]
 
     @pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
@@ -247,9 +250,11 @@ class TestEnumerateStats:
         enumeration._essential_selector.cache_clear()
         enumeration._table_orbits.cache_clear()
         enumeration._orbit_leaders.cache_clear()
+        enumeration._table_keys.cache_clear()
         tracemalloc.start()
         try:
-            enumeration._sweep_tensor(d, q, strict)
+            rows, _plan = enumeration._sweep_plan(d, q, strict, q ** d.n)
+            enumeration._sweep_tensor(d, q, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,6 +385,7 @@ class TestTableOrbits:
 
 
 LOOPED_K3 = Digraph(3, [(u, v) for u in (1, 2, 3) for v in (1, 2, 3)])
+DROP_LOOP_K3 = Digraph(3, LOOPED_K3.arcs - {(3, 3)})
 
 # every (graph, alphabet, family) with n <= 3 whose unreduced sweep is quick
 REDUCIBLE_FAMILIES = [
@@ -401,8 +407,23 @@ CHAIN_FAMILIES = [
 
 def chain_histograms(d, q, strict):
     """The kernel's histograms over the chain's rows, before any total check."""
-    w, counts, mult = enumeration._sweep_tensor(d, q, strict)
+    w, counts, mult = enumeration._sweep_tensor(d, q, enumeration._chain_rows(d, q, strict))
     return np.array(kernels.family_histograms(w, counts, q ** d.n, mult))
+
+
+def split_histograms(d, q, strict):
+    """The kernel's histograms over every sub-product of the twin split, each
+    times its weight, before any total check, and the number of sub-products.
+
+    No block count refuses the split here.
+    """
+    rows = enumeration._chain_rows(d, q, strict)
+    split = enumeration._twin_split(d, q, rows, 1, math.inf)
+    hist = np.zeros((3, q ** d.n + 1), dtype=np.int64)
+    for weight, picks in split:
+        w, counts, mult = enumeration._sweep_tensor(d, q, rows, picks)
+        hist += weight * np.array(kernels.family_histograms(w, counts, q ** d.n, mult))
+    return hist, len(split)
 
 
 def assert_chain_sweep_is_the_unreduced_sweep(d, q, strict):
@@ -452,6 +473,7 @@ def test_a_wrong_weight_is_caught(monkeypatch, d, q):
 
 
 def test_one_kernel_call_per_sweep(monkeypatch):
+    # one call per planned sub-product, and exactly one on the plain plan
     real, calls = kernels.family_histograms, []
 
     def counted(*args):
@@ -459,11 +481,119 @@ def test_one_kernel_call_per_sweep(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernels, "family_histograms", counted)
-    for d, q in CHAIN_FAMILIES + [(LOOPED_K3, 2), (fx.C3, 2)]:
+    for d, q in CHAIN_FAMILIES + [(LOOPED_K3, 2), (DROP_LOOP_K3, 2), (fx.C3, 2)]:
         for strict in (False, True):
             calls.clear()
             enumerate_stats(d, q, strict=strict)
-            assert len(calls) == 1, (d, q, strict)
+            _rows, plan = enumeration._sweep_plan(d, q, strict, q ** d.n)
+            assert len(calls) == len(plan), (d, q, strict)
+            assert (len(plan) > 1) == (d == LOOPED_K3), (d, q, strict)
+            if d != LOOPED_K3:
+                assert plan == [(1, {})]
+
+
+# (graph, alphabet) with twin classes of two and three vertices and more
+# than one key a class: q=2 and q=3, and 81 states
+TWIN_FAMILIES = [
+    (LOOPED_K3, 2),
+    (DROP_LOOP_K3, 2),
+    (Digraph(3, [(3, 1), (3, 2), (3, 3)]), 3),
+    (Digraph(3, [(1, 1), (2, 2), (3, 3)]), 3),
+    (Digraph(4, [(4, 1), (4, 2), (4, 3)]), 3),
+    (Digraph(4, [(1, 1), (2, 2), (1, 2), (2, 1), (3, 1), (3, 2), (1, 4), (2, 4)]), 2),
+]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+@pytest.mark.parametrize("d,q", TWIN_FAMILIES, ids=[f"{q}^{d.n}-{d.m}" for d, q in TWIN_FAMILIES])
+def test_twin_split_equals_the_unreduced_sweep(d, q, strict):
+    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n))
+    hist, sub_products = split_histograms(d, q, strict)
+    assert sub_products > 1
+    assert np.array_equal(hist, unreduced)
+
+
+def test_a_wrong_multinomial_weight_is_caught(monkeypatch):
+    # one multiset's weight off by one, for one of weight 1 and one above
+    d, q = LOOPED_K3, 2
+    plain = chain_histograms(d, q, False)
+    real = enumeration._key_multisets
+    for above_one in (False, True):
+        def off_by_one(keys, size, above_one=above_one):
+            multisets = real(keys, size)
+            i = next(i for i, (weight, _) in enumerate(multisets) if (weight > 1) == above_one)
+            multisets[i] = (multisets[i][0] + 1, multisets[i][1])
+            return multisets
+
+        monkeypatch.setattr(enumeration, "_key_multisets", off_by_one)
+        assert not np.array_equal(split_histograms(d, q, False)[0], plain)
+        with pytest.raises(IntegrityError):
+            enumerate_stats(d, q)
+
+
+class TestSweepPlan:
+    def counters(self, monkeypatch):
+        """Calls to twin_classes, _table_keys and _key_multisets, as they happen."""
+        calls = Counter()
+        for name in ("twin_classes", "_table_keys", "_key_multisets"):
+            def counted(*args, real=getattr(enumeration, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("strict,sub_products,systems",
+                             [(False, 35, 961_736), (True, 20, 563_076)])
+    def test_the_complete_looped_graph_splits(self, strict, sub_products, systems):
+        # 3,014,656 and 1,568,292 systems on the chain's rows alone
+        rows, plan = enumeration._sweep_plan(LOOPED_K3, 2, strict, 8)
+        assert len(plan) == sub_products
+        swept = [math.prod(picks[v].size for v in range(3)) for _, picks in plan]
+        assert sum(swept) == systems
+        # each sub-product counts its systems times their orbit sizes
+        counted = sum(weight * math.prod(int(rows[v][1][picks[v]].sum()) for v in range(3))
+                      for weight, picks in plan)
+        assert counted == family_size(LOOPED_K3, 2, strict)
+
+    def test_one_block_is_swept_plain_without_keys(self, monkeypatch):
+        # both families have twins, and their chain's rows fit in one block
+        calls = self.counters(monkeypatch)
+        for d, q in [(Digraph(3, [(3, 1), (3, 2), (3, 3)]), 2), (fx.E3, 3)]:
+            n_states = q ** d.n
+            rows, plan = enumeration._sweep_plan(d, q, False, n_states)
+            systems = math.prod(codes.size for codes, _ in rows)
+            assert enumeration._kernel_blocks(systems, kernels.BLOCK_CELLS // n_states) == 1
+            assert plan == [(1, {})]
+        assert calls == Counter()
+        enumeration._sweep_plan(LOOPED_K3, 2, False, 8)
+        assert calls == Counter(twin_classes=1, _table_keys=1, _key_multisets=1)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+    def test_too_many_sub_products_exit_before_any_is_listed(self, monkeypatch, strict):
+        # dropping a loop leaves twins 1 and 2 of 5 keys loose (15 key
+        # multisets against 12 blocks) and 4 keys strict (10 against 5)
+        calls = self.counters(monkeypatch)
+        rows, plan = enumeration._sweep_plan(DROP_LOOP_K3, 2, strict, 8)
+        assert plan == [(1, {})]
+        assert calls["_table_keys"] == 1 and calls["_key_multisets"] == 0
+        plain = enumeration._kernel_blocks(math.prod(codes.size for codes, _ in rows), 16384)
+        assert (plain, len(enumeration._twin_split(DROP_LOOP_K3, 2, rows, 16384, math.inf))) \
+            == ((12, 15) if not strict else (5, 10))
+
+    def test_a_split_of_more_blocks_is_listed_and_refused(self, monkeypatch):
+        # twins 2 and 3 at q=2, strict: 10 sub-products against 11 blocks of
+        # the chain's rows, but the sub-products take 14 blocks
+        d = Digraph(4, [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+        calls = self.counters(monkeypatch)
+        rows, plan = enumeration._sweep_plan(d, 2, True, 16)
+        assert plan == [(1, {})] and calls["_key_multisets"] == 1
+        plain = enumeration._kernel_blocks(math.prod(codes.size for codes, _ in rows), 8192)
+        split = enumeration._twin_split(d, 2, rows, 8192, math.inf)
+        systems = [math.prod(picks[v].size if v in picks else codes.size
+                             for v, (codes, _) in enumerate(rows)) for _, picks in split]
+        blocks = sum(enumeration._kernel_blocks(n, 8192) for n in systems)
+        assert (len(split), plain, blocks) == (10, 11, 14)
 
 
 class TestMinrankExact:
