@@ -133,18 +133,22 @@ def _source_core(d: Digraph) -> tuple[Digraph | None, tuple[int, ...]]:
     return Digraph(len(pos), arcs), tuple(sorted(peeled))
 
 
-def _integer_pin(core: Digraph) -> int | None:
+def _integer_pin(core: Digraph, tau: int | None = None,
+                 clique_end: int | None = None) -> int | None:
     """tau when max(nu, k - kappa) reaches it, else None.
 
-    An invariant refused by its own guard leaves its end out. nu enumerates
-    every cycle (up to 100,000 of them on dense cores), so it runs only
-    when tau and k - kappa have not met already.
+    ``tau`` and ``clique_end`` (k - kappa), when given, are the core's
+    values already computed; the others are computed here. An invariant
+    refused by its own guard leaves its end out. nu enumerates every cycle
+    (up to 100,000 of them on dense cores), so it runs only when tau and
+    k - kappa have not met already.
     """
     try:
-        high = transversal_number(core)
+        high = transversal_number(core) if tau is None else tau
     except SizeLimitExceeded:
         return None
-    for low in (lambda: core.n - clique_partition_number(core),
+    for low in (lambda: core.n - clique_partition_number(core) if clique_end is None
+                else clique_end,
                 lambda: cycle_packing_number(core)):
         try:
             if low() == high:
@@ -271,7 +275,8 @@ def _entropy_lp(d: Digraph) -> Fraction:
 
 
 @lru_cache(maxsize=1024)
-def entropy_report(d: Digraph) -> EntropyReport:
+def entropy_report(d: Digraph, tau: int | None = None,
+                   clique_end: int | None = None) -> EntropyReport:
     """Optimal value of the shared-entropy program bounding log_q of max fixed points.
 
     Vertices with no in-arcs force their coordinate in every fixed point, so
@@ -312,12 +317,19 @@ def entropy_report(d: Digraph) -> EntropyReport:
     ``Fraction`` certified by :func:`ratlp.solve_exact`. A larger core
     skips the join classes; if its ends do not meet it raises
     ``SizeLimitExceeded``, as does a program whose optimum is not certified.
+
+    ``tau`` and ``clique_end`` (n - kappa), when given, are those of ``d``
+    itself, which the caller has already computed. They are the core's
+    too: peeling removes vertices on no cycle, so tau stays, and in no
+    clique of two or more, since a peeled vertex has no in-arc from any
+    vertex peeled after it or left in the core, so each was a clique of
+    its own and k - kappa stays.
     """
     core, peeled = _source_core(d)
     if core is None:
         return EntropyReport(Fraction(0), peeled, "peeled-empty")
     if core.n > ENTROPY_VERTEX_CAP:
-        pin = _integer_pin(core)
+        pin = _integer_pin(core, tau, clique_end)
         if pin is None:
             raise SizeLimitExceeded(
                 f"entropy program capped at {ENTROPY_VERTEX_CAP} core vertices, "
@@ -329,7 +341,7 @@ def entropy_report(d: Digraph) -> EntropyReport:
     full_root = root[-1]  # the full mask is the last
     if full_root in const:
         return EntropyReport(const[full_root], peeled, "pinned")
-    pin = _integer_pin(core)
+    pin = _integer_pin(core, tau, clique_end)
     value = _solve_dual(_entropy_program(core)) if pin is None else Fraction(pin)
     return EntropyReport(value, peeled, "exact-dual")
 
@@ -365,6 +377,7 @@ class BoundsReport:
     provenance: dict[str, str] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
     entropy_exponent: object = None
+    entropy: EntropyReport | None = None  # the report behind the exponent
     best_upper: int = 0
     best_lower: int = 0
     consistent: bool = True
@@ -387,8 +400,31 @@ class BoundsReport:
         }
 
 
+def _refusable(invariant, d: Digraph):
+    """``invariant(d)``, or the ``SizeLimitExceeded`` its guard raised."""
+    try:
+        return invariant(d)
+    except SizeLimitExceeded as exc:
+        return exc
+
+
+def _answer(value):
+    """A value from :func:`_refusable`, raising its refusal again."""
+    if isinstance(value, SizeLimitExceeded):
+        raise value
+    return value
+
+
 def fix_bounds_report(d: Digraph, q: int, strict: bool = False) -> BoundsReport:
     """Every applicable fixed-point bound for the family, with a consistency verdict."""
+    return _fix_bounds(d, q, strict, _refusable(transversal_number, d),
+                       _refusable(clique_partition_number, d))
+
+
+def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa) -> BoundsReport:
+    """:func:`fix_bounds_report`, given the transversal and clique partition
+    numbers of ``d`` (or their refusals), each computed once and shared
+    with the entropy pin and the ghost alphabet."""
     report = BoundsReport(target="max_fixed_points", strict=strict, q=q)
     stats = structure_stats(d)
 
@@ -411,12 +447,15 @@ def fix_bounds_report(d: Digraph, q: int, strict: bool = False) -> BoundsReport:
     attempt(
         "feedback",
         "upper",
-        lambda: q ** transversal_number(d),
+        lambda: q ** _answer(tau),
         "fixed points are determined by their values on a feedback vertex set",
     )
 
     def entropy_bound():
-        rep = entropy_report(d)
+        known_tau = None if isinstance(tau, SizeLimitExceeded) else tau
+        clique_end = None if isinstance(kappa, SizeLimitExceeded) else d.n - kappa
+        rep = entropy_report(d, known_tau, clique_end)
+        report.entropy = rep
         report.entropy_exponent = rep.value
         return _floor_power(q, rep.value)
 
@@ -440,7 +479,7 @@ def fix_bounds_report(d: Digraph, q: int, strict: bool = False) -> BoundsReport:
             attempt(
                 "ghost",
                 "lower",
-                lambda: fix_bounds_report(d, q - 1, strict=False).best_lower,
+                lambda: _fix_bounds(d, q - 1, False, tau, kappa).best_lower,
                 "padding letters never used by a smaller-alphabet witness",
             )
         if q == 2:
@@ -454,7 +493,7 @@ def fix_bounds_report(d: Digraph, q: int, strict: bool = False) -> BoundsReport:
         attempt(
             "clique_cover",
             "lower",
-            lambda: q ** (d.n - clique_partition_number(d)),
+            lambda: q ** (d.n - _answer(kappa)),
             "modular-sum witness on each clique of a minimum partition",
         )
         attempt(

@@ -366,19 +366,40 @@ class MinrankBounds:
     exact: bool
 
 
-def conjunctive_rank_of_canonical(c: CanonicalGraph) -> int:
+def conjunctive_rank_of_canonical(c: CanonicalGraph, piece_ranks=None) -> int:
     """Rank of the all-AND network on a canonical graph, component by component.
 
     Sources output constant 1; each sink outputs the conjunction of its
     sources, so the rank is the number of distinct sink-indicator patterns,
-    multiplied over weak components. Each component walks all 2^k patterns
-    of its k sources, so k is capped.
+    multiplied over weak components. A component with more than
+    ``CONJUNCTIVE_SOURCE_CAP`` sources is refused. ``piece_ranks``, when
+    given, holds each component's rank from :func:`conjunctive_piece_ranks`.
     """
-    total = 1
-    for p in _capped_pieces(c, "conjunctive rank", CONJUNCTIVE_SOURCE_CAP, "sources"):
-        masks = _sink_masks(p)
-        total *= len({tuple(m & ~x == 0 for m in masks) for x in range(1 << len(p.sources))})
-    return total
+    pieces = _capped_pieces(c, "conjunctive rank", CONJUNCTIVE_SOURCE_CAP, "sources")
+    return math.prod(_conjunctive_piece_rank(p) for p in pieces) if piece_ranks is None \
+        else math.prod(piece_ranks)
+
+
+def conjunctive_piece_ranks(c: CanonicalGraph) -> list[int | None]:
+    """Each weak component's conjunctive rank, None where it has more than
+    ``CONJUNCTIVE_SOURCE_CAP`` sources."""
+    return [_conjunctive_piece_rank(p) if len(p.sources) <= CONJUNCTIVE_SOURCE_CAP else None
+            for p in _pieces(c)]
+
+
+def _conjunctive_piece_rank(p: CanonicalGraph) -> int:
+    """The distinct sink patterns of one component's AND network.
+
+    The sinks a source set x switches on are those whose in-neighbourhood x
+    contains. Two such patterns are equal exactly when the unions of their
+    sinks' in-neighbourhoods are, and every union of in-neighbourhoods is
+    one, so the patterns are counted as the distinct unions, the empty one
+    included, in time proportional to their number times the sinks.
+    """
+    unions = {0}
+    for mask in _sink_masks(p):
+        unions |= {u | mask for u in unions}
+    return len(unions)
 
 
 def absolute_minrank_bounds(d: Digraph) -> MinrankBounds:
@@ -399,11 +420,17 @@ def absolute_minrank_bounds(d: Digraph) -> MinrankBounds:
     return minrank_bracket(d, c, product)
 
 
-def minrank_bracket(d: Digraph, c: CanonicalGraph, product: int | None) -> MinrankBounds:
+def minrank_bracket(d: Digraph, c: CanonicalGraph, product: int | None,
+                    piece_ranks: list[int | None] | None = None) -> MinrankBounds:
     """:func:`absolute_minrank_bounds` from the canonical graph ``c`` of ``d``
-    and its product bound, None where that bound was refused."""
+    and its product bound, None where that bound was refused.
+
+    ``piece_ranks``, when given, holds :func:`conjunctive_piece_ranks` of ``c``.
+    """
     lower = chain_bound(c) if product is None else product
-    upper = math.prod(_piece_upper(p) for p in _pieces(c))
+    if piece_ranks is None:
+        piece_ranks = conjunctive_piece_ranks(c)
+    upper = math.prod(_piece_upper(p, rank) for p, rank in zip(_pieces(c), piece_ranks))
     return MinrankBounds(
         lower=lower,
         upper=upper,
@@ -412,13 +439,11 @@ def minrank_bracket(d: Digraph, c: CanonicalGraph, product: int | None) -> Minra
     )
 
 
-def _piece_upper(p: CanonicalGraph) -> int:
-    """Least of a piece's independent-set count and, unless refused, its conjunctive rank."""
+def _piece_upper(p: CanonicalGraph, rank: int | None) -> int:
+    """Least of a piece's independent-set count and, unless refused (None),
+    its conjunctive rank."""
     count = independent_set_bound(p)
-    try:
-        return min(conjunctive_rank_of_canonical(p), count)
-    except SizeLimitExceeded:
-        return count
+    return count if rank is None else min(rank, count)
 
 
 def _pieces(c: CanonicalGraph) -> list[CanonicalGraph]:

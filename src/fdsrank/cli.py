@@ -19,6 +19,7 @@ from .bounds import entropy_report, fix_bounds_report
 from .canonical import (
     canonicalize,
     chain_bound,
+    conjunctive_piece_ranks,
     format_canonical,
     independent_set_bound,
     minrank_bracket,
@@ -105,6 +106,8 @@ def cmd_analyze(args) -> int:
     # product bound, the costliest step of both
     c = canonicalize(d)
     product = _entry(product_bound, c)
+    # the conjunctive rank section and the minrank upper bound share it
+    piece_ranks = conjunctive_piece_ranks(c)
 
     def canonical_summary():
         # each bound answers or is skipped on its own; tight needs L and U
@@ -120,7 +123,7 @@ def cmd_analyze(args) -> int:
         }
 
     def minrank_section():
-        b = minrank_bracket(d, c, None if isinstance(product, dict) else product)
+        b = minrank_bracket(d, c, None if isinstance(product, dict) else product, piece_ranks)
         return {
             "classification": minrank_classify(d),
             "lower": b.lower,
@@ -147,7 +150,8 @@ def cmd_analyze(args) -> int:
 
     doc["structure"] = _section(structure)
     doc["canonical"] = _section(canonical_summary)
-    doc["conjunctive_rank"] = _section(lambda: {"value": conjunctive_rank(d, args.max_states)})
+    doc["conjunctive_rank"] = _section(
+        lambda: {"value": conjunctive_rank(d, args.max_states, piece_ranks)})
     doc["minrank"] = _section(minrank_section)
     doc["fixed_point_bounds"] = _section(
         lambda: fix_bounds_report(d, q, strict=args.strict).to_json_dict()
@@ -178,10 +182,12 @@ def cmd_canonical(args) -> int:
 
 def cmd_bounds(args) -> int:
     d = read_digraph(args.file)
-    doc = fix_bounds_report(d, args.q, strict=args.strict).to_json_dict()
+    report = fix_bounds_report(d, args.q, strict=args.strict)
+    doc = report.to_json_dict()
 
     def entropy_detail():
-        rep = entropy_report(d)
+        # a refused report is asked for again, to raise its refusal
+        rep = report.entropy or entropy_report(d)
         return {
             "value": str(rep.value),
             "exact": True,

@@ -5,7 +5,7 @@ family fixes the interaction graph exactly (every local table must depend
 essentially on each declared input), the loose family only requires
 containment. Averages are exact rationals. Each kernel call of the sweep
 and ``minrank_exact`` read a narrow tensor built by :func:`_sweep_tensor`
-from the rows they keep. One guard,
+from the rows they keep, once a call. One guard,
 :func:`price_family`, refuses oversized sweeps with the projected size:
 the state-space guard of :mod:`fds`, a function-count guard
 (``DEFAULT_MAX_FUNCS`` unless the caller passes ``max_funcs``), and a cap on
@@ -45,31 +45,50 @@ v_0's table, puts one at v_1, and so on, and the rank does not change.
 
 Twin vertices cut the sweep further. Two vertices are twins when swapping
 them is an automorphism of the graph (``digraph.twin_classes``). Every
-table has a key, its sorted value frequencies (:func:`_table_keys`):
-relabelling a table's inputs permutes its cells and an alphabet
-permutation permutes its values, so neither changes the key. For each
-class C of twins, the sweep takes one sub-product per multiset of keys
-over C, the sorted key tuple in vertex order, weighted by the number
-|C|! / (m_1! m_2! ...) of key tuples with that multiset, and takes the
-Cartesian product of these across classes. This is exact:
+table has a key, its class under the key group: any permutation of its
+input positions, together with an independent alphabet permutation on
+each input and on the output (:func:`_key_group`; at q=2 these are the NPN
+classes, 14 on three inputs). :func:`_table_orbits` labels them, with the
+swaps of adjacent input positions as generators besides the alphabet
+ones. For each class C of twins, the sweep takes one ordering of each
+multiset of keys over C, weighted by the number |C|! / (m_1! m_2! ...) of
+key tuples with that multiset, and takes the Cartesian product of these
+across classes. This is exact:
 
 - a twin transposition (u v) conjugates the family onto itself, since it
   is an automorphism: it keeps every table's inputs up to their order and
   keeps essential dependence, so strict tables stay strict. It keeps rank,
   periodic rank and fixed points. It carries the table at u to one at v
-  with cells permuted, so key κ_u at u becomes κ_u at v, and every other
-  vertex keeps its key;
+  with its input positions permuted, which the key group contains, so key
+  κ_u at u becomes κ_u at v, and every other vertex keeps its key;
 - so the systems of key tuples in one orbit of the permutations of C,
-  which the twin transpositions generate, have equal histograms;
-- each key class is a union of chain orbits, since K_i only permutes the
-  cells and values of a table, so K_i maps the systems of one key tuple
-  onto themselves and the chain's argument holds inside a sub-product: it
-  keeps the chain's rows of its keys, with their orbit sizes.
+  which the twin transpositions generate, have equal histograms, and any
+  one tuple of a multiset stands for all of them;
+- each key class is a union of chain orbits: K_i permutes the alphabet on
+  some inputs and, with the same or another permutation, on the output,
+  which the key group contains too. So K_i maps the systems of one key
+  tuple onto themselves, and the chain's argument holds inside a key
+  tuple: it keeps the chain's rows of its keys, with their orbit sizes.
 
-One kernel call sweeps each sub-product, and its histograms are scaled by
-the sub-product's weight in int64. The sweep takes whichever plan, the
-chain's rows whole or the twin split, takes fewer kernel blocks
-(:func:`_sweep_plan`).
+The ordering is chosen to be cheap. Twins are ordered most kept rows
+first, so the chain's first vertex, which keeps only orbit leaders, comes
+last; keys are ranked by the ratio of the rows the first twin keeps of a
+key to those the last one keeps, smallest first; each multiset is swept
+in rank order. When every twin but the last keeps equal rows of each key,
+exchanging the keys of two twins cannot lower a multiset's rows, so no
+ordering is cheaper: on the complete looped 3-vertex graph at q=2 this
+order sweeps as few systems as the best order of each multiset, found by
+trying them all.
+
+The twin split is packed into the same single kernel call
+(``kernels.family_histograms`` with factors). Each class of twins is one
+factor whose rows are listed as sub-products: a sub-product fixes the key
+of every twin but the last in rank order, and the last twin takes every
+key from that one on, as two runs of its key-sorted rows. The run of the
+same key counts the multinomial weight of the multiset with that key
+twice, the run of later keys the weight with one new key. The sweep takes
+whichever plan, the chain's rows whole or the twin split, packs into fewer
+kernel blocks (:func:`_sweep_plan`).
 """
 
 from __future__ import annotations
@@ -121,21 +140,26 @@ def _essential_selector(q: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _table_orbits(q: int, k: int, coords: tuple[tuple[int | None, bool], ...]) -> np.ndarray:
-    """For every table on k inputs, the least code in its orbit under ``coords``.
+def _table_orbits(
+    q: int, k: int, coords: tuple[tuple[int | None, bool], ...],
+    swaps: tuple[tuple[int, int], ...] = (),
+) -> np.ndarray:
+    """For every table on k inputs, the least code in its orbit under ``coords``
+    and ``swaps``.
 
     A table's code is its row in ``_all_tables(q, k)``. The group permutes
     the alphabet independently on each coordinate of ``coords``: a pair
     (input digit or None, whether it moves the output). A vertex's own
     coordinate moves its output, and its input digit too when it reads
-    itself; the other coordinates are input digits. The group is generated
-    by adjacent transpositions, each its own inverse, so the code a
-    generator sends every table to is one gather index. Labels take the
-    least label across each generator, then jump to their own label's
-    label, until a round moves none. Orbits never mix essential and
-    inessential tables, so one labelling serves both families.
+    itself; the other coordinates are input digits. Each pair (i, j) of
+    ``swaps`` exchanges input positions i and j. The group is generated by
+    transpositions, each its own inverse, so the code a generator sends
+    every table to is one gather index. Labels take the least label across
+    each generator, then jump to their own label's label, until a round
+    moves none. Orbits never mix essential and inessential tables, so one
+    labelling serves both families.
     """
-    moves = _orbit_moves(q, k, coords)
+    moves = _orbit_moves(q, k, coords, swaps)
     label = np.arange(q ** (q ** k), dtype=np.min_scalar_type(q ** (q ** k) - 1))
     while True:
         before = label.copy()
@@ -147,7 +171,7 @@ def _table_orbits(q: int, k: int, coords: tuple[tuple[int | None, bool], ...]) -
             return label
 
 
-def _orbit_moves(q: int, k: int, coords) -> list[np.ndarray]:
+def _orbit_moves(q: int, k: int, coords, swaps=()) -> list[np.ndarray]:
     """The code each generator of :func:`_table_orbits` sends every table to.
 
     Codes are held in the narrowest unsigned dtype that holds them.
@@ -156,7 +180,7 @@ def _orbit_moves(q: int, k: int, coords) -> list[np.ndarray]:
     code_type = np.min_scalar_type(tables.shape[0] - 1)
     cells = np.arange(q ** k, dtype=np.int64)
     weight = (q ** cells).astype(code_type)
-    moves = []
+    generators = []  # (where each cell's value lands, the output's permutation or None)
     for j, output in coords:
         for a in range(q - 1):
             swap = np.arange(q, dtype=np.int64)
@@ -166,13 +190,26 @@ def _orbit_moves(q: int, k: int, coords) -> list[np.ndarray]:
             if j is not None:
                 digit = cells // q ** j % q
                 moved = cells + (swap[digit] - digit) * q ** j
-            narrow = swap.astype(tables.dtype)
-            code = np.zeros(tables.shape[0], dtype=code_type)
-            for y in cells:  # one cell at a time: no wide copy of the table matrix
-                column = tables[:, y]
-                code += (narrow[column] if output else column) * weight[moved[y]]
-            moves.append(code)
+            generators.append((moved, swap.astype(tables.dtype) if output else None))
+    for i, j in swaps:
+        di, dj = cells // q ** i % q, cells // q ** j % q
+        generators.append((cells + (dj - di) * q ** i + (di - dj) * q ** j, None))
+    moves = []
+    for moved, out in generators:
+        code = np.zeros(tables.shape[0], dtype=code_type)
+        for y in cells:  # one cell at a time: no wide copy of the table matrix
+            column = tables[:, y]
+            code += (column if out is None else out[column]) * weight[moved[y]]
+        moves.append(code)
     return moves
+
+
+def _key_group(k: int) -> tuple[tuple, tuple]:
+    """``coords`` and ``swaps`` of the key group on k inputs: every
+    permutation of the input positions, and an alphabet permutation on each
+    input and on the output, independently."""
+    return (tuple((j, False) for j in range(k)) + ((None, True),),
+            tuple((j, j + 1) for j in range(k - 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,12 +351,14 @@ def price_family(
     of the chain's groups in turn, each one code column of at most 8 bytes
     a table per generator plus three working columns, over the labels the
     earlier steps keep. When those fit, the labellings (cached for the
-    set-up) give the rows each vertex keeps, and the padded tensor and one
-    vertex's gather (rows x states) are priced at the most rows any vertex
-    keeps; a sub-product of the twin split keeps fewer. The split's key
-    labels, at most 4 bytes a table, fit in the freed int64 digit matrix,
-    and its row positions, 8 bytes a kept row, in fewer than the tensor's
-    bytes a kept row. ``max_funcs`` is an already resolved limit.
+    set-up) give the rows each vertex keeps. When those take more than one
+    kernel block, so that the plan looks for twins, the key labelling of
+    each class of twins is priced as one more orbit step, with one
+    generator per input transposition, before the plan allocates it, and
+    so are the sorted copies of the rows the plan sweeps (codes, orbit
+    sizes and their order, 24 bytes a kept row). Last come the padded
+    tensor and one vertex's gather (rows x states), at the most rows any
+    vertex keeps. ``max_funcs`` is an already resolved limit.
     """
     n_states = check_states(d.n, q, max_states)
     ins = d.in_map()
@@ -345,15 +384,27 @@ def price_family(
         )
     groups = _chain_groups(d, q, strict)
     held = orbit = 0
+
+    def orbit_step(k, generators):
+        nonlocal held, orbit
+        orbit = max(orbit, held + 8 * q ** (q ** k) * (generators + 3))
+        held += 8 * q ** (q ** k)
+
     for k, coords in dict.fromkeys(zip(degrees, groups)):
         if coords:
-            orbit = max(orbit, held + 8 * q ** (q ** k) * ((q - 1) * len(coords) + 3))
-            held += 8 * q ** (q ** k)
+            orbit_step(k, (q - 1) * len(coords))
     nbytes = table_bytes() + orbit
     if nbytes <= TABLE_BYTE_CAP:
-        kept = max(_orbit_leaders(q, k, coords, strict)[0].size
-                   for k, coords in zip(degrees, groups))
-        nbytes += (d.n * state + value) * kept * n_states
+        kept = [_orbit_leaders(q, k, coords, strict)[0].size for k, coords in zip(degrees, groups)]
+        nbytes = (d.n * state + value) * max(kept) * n_states
+        if _kernel_blocks(math.prod(kept), max(1, kernels.BLOCK_CELLS // n_states)) > 1:
+            # the plan labels the tables of twins by key, one more orbit
+            # step, and sorts copies of the rows
+            for k in {degrees[c[0] - 1] for c in twin_classes(d) if len(c) > 1}:
+                coords, swaps = _key_group(k)
+                orbit_step(k, (q - 1) * len(coords) + len(swaps))
+            nbytes += 24 * sum(kept)
+        nbytes += table_bytes() + orbit
     if nbytes > TABLE_BYTE_CAP:
         raise SizeLimitExceeded(
             f"sweep set-up needs {nbytes} bytes, over {TABLE_BYTE_CAP}", projected=nbytes
@@ -419,18 +470,12 @@ def _chain_rows(d: Digraph, q: int, strict: bool) -> list[tuple[np.ndarray, np.n
 
 def _sweep_tensor(
     d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]],
-    picks: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Padded tensor ``w``, live row counts and each live row's multiplicity.
 
     ``rows[v]`` holds the codes of the tables vertex v+1 keeps and their
-    multiplicities. ``picks``, when given, keeps at each vertex v it names
-    only the rows at positions ``picks[v]``. ``w[v, t]`` is the t-th kept
-    table times q^v.
+    multiplicities. ``w[v, t]`` is the t-th kept table times q^v.
     """
-    if picks:
-        rows = [(codes[picks[v]], sizes[picks[v]]) if v in picks else (codes, sizes)
-                for v, (codes, sizes) in enumerate(rows)]
     ins = d.in_map()
     counts = np.array([codes.size for codes, _ in rows], dtype=np.int64)
     w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.min_scalar_type(q ** d.n - 1))
@@ -442,95 +487,102 @@ def _sweep_tensor(
     return w, counts, [sizes for _, sizes in rows]
 
 
-@lru_cache(maxsize=64)
-def _table_keys(q: int, k: int) -> np.ndarray:
-    """For every table on k inputs, a label of its sorted value frequencies.
-
-    A table's code is its row in ``_all_tables(q, k)``. Relabelling inputs
-    permutes a table's cells and an alphabet permutation permutes its
-    values, so neither changes the label.
-    """
-    tables = _all_tables(q, k)
-    cells = q ** k
-    freq = np.zeros((tables.shape[0], q), dtype=np.min_scalar_type(cells))
-    for y in range(cells):  # one cell at a time: no wide copy of the table matrix
-        for a in range(q):
-            freq[:, a] += tables[:, y] == a
-    freq.sort(axis=1)
-    label = np.zeros(tables.shape[0], dtype=np.min_scalar_type((cells + 1) ** q - 1))
-    for a in range(q):
-        label *= label.dtype.type(cells + 1)
-        label += freq[:, a]
-    return label
-
-
-def _key_multisets(keys: list[int], size: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Each multiset of ``size`` keys as a sorted tuple, with the number of
-    key tuples it is the multiset of: size! / (m_1! m_2! ...)."""
-    return [(math.factorial(size) // math.prod(math.factorial(combo.count(key))
-                                               for key in set(combo)), combo)
-            for combo in itertools.combinations_with_replacement(keys, size)]
+def _multinomial(combo: tuple[int, ...]) -> int:
+    """The number of tuples whose multiset is ``combo``: len! / (m_1! m_2! ...)."""
+    return math.factorial(len(combo)) // math.prod(
+        math.factorial(combo.count(key)) for key in set(combo))
 
 
 def _kernel_blocks(systems: int, cols: int) -> int:
-    """Kernel blocks of ``cols`` maps that a table product of ``systems`` takes."""
+    """Kernel blocks of ``cols`` maps that ``systems`` maps fill."""
     return -(-systems // cols)
 
 
-def _twin_split(
-    d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]], cols: int, plain: int
-) -> list[tuple[int, dict[int, np.ndarray]]]:
-    """The sub-products of the twin split, when they take fewer kernel blocks
-    than ``plain``, else [].
+def _twin_split(d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]], cols: int,
+                plain: int):
+    """The twin split as (rows, counts, factors) for the kernel, when it packs
+    into fewer kernel blocks than ``plain``, else None.
 
-    A sub-product is its weight and, for each twin vertex, the positions of
-    the rows it keeps there. When there are at least as many sub-products as
-    ``plain`` blocks, none is listed.
+    Each class of twins is one factor. Its members are ordered most kept
+    rows first, and their rows sorted by key rank, so that each key's rows
+    are one range. A sub-product fixes the key of every member but the
+    last, in rank order, and the last takes every key from the one before
+    on, in two runs: that key, at the multinomial weight of the multiset
+    with it twice, then the later keys. The split's rows are counted before
+    any sub-product is listed.
     """
     ins = d.in_map()
     classes = [[v - 1 for v in c] for c in twin_classes(d) if len(c) > 1]
     if not classes:
-        return []
-    # twins read equally many inputs, and each keeps rows of every key of
-    # their tables, since each key class is a union of chain orbits
-    labels = [_table_keys(q, len(ins[c[0] + 1])) for c in classes]
-    keys = [np.unique(label[rows[c[0]][0]]).tolist() for c, label in zip(classes, labels)]
-    count = math.prod(math.comb(len(c) + len(k) - 1, len(c)) for c, k in zip(classes, keys))
-    if count >= plain:
-        return []
-    parts = {}  # the positions of each key's rows at each twin vertex
-    for c, label, ks in zip(classes, labels, keys):
-        for v in c:
-            key = label[rows[v][0]]
-            parts[v] = {k: np.flatnonzero(key == k) for k in ks}
-    split, blocks = [], 0
-    for choice in itertools.product(*(_key_multisets(k, len(c)) for c, k in zip(classes, keys))):
-        picks = {v: parts[v][key]
-                 for c, (_, combo) in zip(classes, choice) for v, key in zip(c, combo)}
-        systems = math.prod(picks[v].size if v in picks else codes.size
-                            for v, (codes, _) in enumerate(rows))
-        if systems:  # a key missing at some twin leaves the totals short
-            split.append((math.prod(weight for weight, _ in choice), picks))
-            blocks += _kernel_blocks(systems, cols)
-    return split if blocks < plain else []
+        return None
+    rows = list(rows)
+    split = []  # (members, start of each rank's rows at each member, rows of the class)
+    for c in classes:
+        members = sorted(c, key=lambda v: (-rows[v][0].size, v))
+        label = _table_orbits(q, len(ins[c[0] + 1]), *_key_group(len(ins[c[0] + 1])))
+        # twins read equally many inputs, and each keeps rows of every key of
+        # their tables, since each key class is a union of chain orbits
+        keys = [label[rows[v][0]] for v in members]
+        names = np.flatnonzero(np.bincount(keys[0]))
+        index = [np.searchsorted(names, key) for key in keys]
+        per_key = [np.bincount(i, minlength=names.size).tolist() for i in index]
+        # the cheapest order: keys ranked by the first member's rows of a key
+        # over the last one's, smallest first (the module docstring)
+        ranked = sorted(range(names.size),
+                        key=lambda x: (Fraction(per_key[0][x], per_key[-1][x]), x))
+        rank = np.empty(names.size, dtype=np.intp)
+        rank[ranked] = np.arange(names.size)
+        starts = []
+        for v, i, counts in zip(members, index, per_key):
+            order = np.lexsort((rows[v][1], rank[i]))
+            rows[v] = (rows[v][0][order], rows[v][1][order])
+            starts.append(np.cumsum([0] + [counts[x] for x in ranked]).tolist())
+        # tuples of rows along non-decreasing ranks, one member at a time
+        tuples = [b - a for a, b in zip(starts[0], starts[0][1:])]
+        for s in starts[1:]:
+            below = list(itertools.accumulate(tuples))
+            tuples = [total * (b - a) for total, a, b in zip(below, s, s[1:])]
+        split.append((members, starts, sum(tuples)))
+    in_class = {v for members, _, _ in split for v in members}
+    others = [v for v in range(d.n) if v not in in_class]
+    counts = [total for _, _, total in split] + [rows[v][0].size for v in others]
+    if _kernel_blocks(math.prod(counts), cols) >= plain:
+        return None
+    factors = []
+    for members, starts, _ in split:
+        subs = []
+        for prefix in itertools.combinations_with_replacement(range(len(starts[0]) - 1),
+                                                              len(members) - 1):
+            r, last = prefix[-1], starts[-1]
+            runs = [(last[r], last[r + 1], _multinomial(prefix + (r,)))]
+            if last[r + 1] < last[-1]:
+                runs.append((last[r + 1], last[-1], _multinomial(prefix + (-1,))))
+            subs.append(tuple(((s[x], s[x + 1], 1),) for s, x in zip(starts, prefix))
+                        + (tuple(runs),))
+        factors.append((tuple(members), subs))
+    factors += [((v,), [(((0, rows[v][0].size, 1),),)]) for v in others]
+    return rows, counts, factors
 
 
-def _sweep_plan(
-    d: Digraph, q: int, strict: bool, n_states: int
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[int, dict[int, np.ndarray]]]]:
-    """The chain's rows and the sweep's kernel calls, each a weight and its picks.
+def _sweep_plan(d: Digraph, q: int, strict: bool, n_states: int):
+    """The rows, the factor row counts and the factors of the sweep's one
+    kernel call.
 
-    The plan is the chain's rows whole, one call at weight 1 with no picks,
-    or the twin split's sub-products at their multinomial weights, whichever
-    takes fewer kernel blocks: the sum over calls of ceil(rows product /
-    cols), where a block holds cols maps. A plain plan of one block is kept
-    without looking for twins.
+    The plan is the chain's rows whole, each vertex its own factor
+    (factors None), or the twin split, whichever packs into fewer kernel
+    blocks of cols maps. A plain plan of one block is kept without looking
+    for twins.
     """
     rows = _chain_rows(d, q, strict)
     cols = max(1, kernels.BLOCK_CELLS // n_states)
-    plain = _kernel_blocks(math.prod(codes.size for codes, _ in rows), cols)
-    split = _twin_split(d, q, rows, cols, plain) if plain > 1 else []
-    return rows, split or [(1, {})]
+    counts = [codes.size for codes, _ in rows]
+    plain = _kernel_blocks(math.prod(counts), cols)
+    if plain == 1:
+        return rows, counts, None
+    # rows in order of multiplicity, so that most blocks share one weight
+    rows = [(codes[order], sizes[order]) for codes, sizes in rows
+            for order in [np.argsort(sizes, kind="stable")]]
+    return _twin_split(d, q, rows, cols, plain) or (rows, counts, None)
 
 
 def enumerate_stats(
@@ -547,11 +599,9 @@ def enumerate_stats(
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
     total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    hists = np.zeros((3, n_states + 1), dtype=np.int64)
-    rows, plan = _sweep_plan(d, q, strict, n_states)
-    for weight, picks in plan:
-        w, counts, mult = _sweep_tensor(d, q, rows, picks)
-        hists += weight * np.array(kernels.family_histograms(w, counts, n_states, mult))
+    rows, counts, factors = _sweep_plan(d, q, strict, n_states)
+    w, _live, mult = _sweep_tensor(d, q, rows)
+    hists = np.array(kernels.family_histograms(w, counts, n_states, mult, factors))
     # the only guard against a kernel or a weight that drops or double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
         if int(hist.sum()) != total:

@@ -28,6 +28,24 @@ def random_digraph(rng, n_max=4, p=0.4):
     return Digraph(n, [pr for pr in pairs if rng.random() < p])
 
 
+def blown_up_digraph(rng, n):
+    """A random digraph whose vertices fall into random modules, every two
+    vertices of one module twins, with one arc sometimes flipped."""
+    m = rng.randint(1, n)
+    module = [rng.randrange(m) for _ in range(n)]
+    loop = [rng.random() < 0.5 for _ in range(m)]
+    inner = [rng.random() < 0.5 for _ in range(m)]
+    outer = {(a, b) for a in range(m) for b in range(m) if a != b and rng.random() < 0.4}
+    arcs = set()
+    for u, v in itertools.product(range(n), repeat=2):
+        a, b = module[u], module[v]
+        if (loop[a] if u == v else inner[a] if a == b else (a, b) in outer):
+            arcs.add((u + 1, v + 1))
+    if rng.random() < 0.3:
+        arcs ^= {(rng.randint(1, n), rng.randint(1, n))}
+    return Digraph(n, arcs)
+
+
 def all_tables(q, d):
     return itertools.product(range(q), repeat=q ** d)
 

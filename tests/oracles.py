@@ -139,6 +139,17 @@ def brute_independent_set_count(vertices, edges) -> int:
     return count
 
 
+def brute_conjunctive_rank(sources, sink_inputs: dict) -> int:
+    """Distinct sink patterns of the AND network, over all 2^k source sets:
+    a sink is on when the set contains its in-neighbourhood. Disconnected
+    parts are not split."""
+    patterns = set()
+    for bits in range(1 << len(sources)):
+        x = {a for i, a in enumerate(sources) if bits >> i & 1}
+        patterns.add(tuple(ins <= x for _, ins in sorted(sink_inputs.items())))
+    return len(patterns)
+
+
 def brute_chain_bound(sink_inputs: dict) -> int:
     """Longest sequence of sinks, each contributing an unseen source, plus one."""
     sinks = sorted(sink_inputs)
@@ -307,6 +318,35 @@ def brute_table_orbits(q, k, self_pos, moved=None, output=True) -> list[int]:
                 moved_x = sum(digit_perm[j][cell_digits[x][j]] * q ** j for j in range(k))
                 image += out[table[x]] * q ** moved_x
             # codes are visited in order, so the first of an orbit is its least
+            label[image] = code
+    return label
+
+
+def brute_table_class(q, k) -> list[int]:
+    """For every table code on k inputs, the least code in its class under
+    the key group: every permutation of the k input positions, with an
+    independent alphabet permutation on each input and on the output.
+
+    Every element of the group is applied directly. The image of t takes
+    the value sigma_out(t[x]) at the cell whose digit j is
+    sigma_j(x[pi[j]]).
+    """
+    cells = q ** k
+    cell_digits = [[x // q ** j % q for j in range(k)] for x in range(cells)]
+    perms = list(itertools.permutations(range(q)))
+    elements = [(pi, sigma) for pi in itertools.permutations(range(k))
+                for sigma in itertools.product(perms, repeat=k + 1)]
+    label = [None] * q ** cells
+    for code in range(q ** cells):
+        if label[code] is not None:
+            continue
+        table = [code // q ** x % q for x in range(cells)]
+        for pi, sigma in elements:
+            image = 0
+            for x in range(cells):
+                moved_x = sum(sigma[j][cell_digits[x][pi[j]]] * q ** j for j in range(k))
+                image += sigma[k][table[x]] * q ** moved_x
+            # codes are visited in order, so the first of a class is its least
             label[image] = code
     return label
 

@@ -22,7 +22,11 @@ from fdsrank.bounds import (
 from fdsrank.digraph import Digraph
 from fdsrank.enumeration import enumerate_stats, family_size
 from fdsrank.errors import SizeLimitExceeded
-from fdsrank.invariants import cycle_packing_number, transversal_number
+from fdsrank.invariants import (
+    clique_partition_number,
+    cycle_packing_number,
+    transversal_number,
+)
 
 
 def _pin_mismatches(graphs):
@@ -230,6 +234,40 @@ class TestFixBoundsReport:
         rep = fix_bounds_report(fx.C5_SYM, 2)
         assert rep.upper["entropy"] == 5  # floor(2^(5/2))
         assert rep.best_lower == 4
+
+    def test_transversal_and_clique_numbers_are_computed_once(self, monkeypatch):
+        # strict at q=3 runs the ghost alphabet's loose report too; both, and
+        # the entropy pin, read the graph's tau and kappa
+        calls = []
+        for name in ("transversal_number", "clique_partition_number"):
+            def counted(d, real=getattr(bounds, name), name=name):
+                calls.append(name)
+                return real(d)
+
+            monkeypatch.setattr(bounds, name, counted)
+        for d in [fx.C5_SYM, fx.K3, fx.FIG1, Digraph(4, [(1, 2), (2, 3), (3, 2), (3, 4), (4, 3)])]:
+            calls.clear()
+            bounds.entropy_report.cache_clear()
+            fix_bounds_report(d, 3, strict=True)
+            assert sorted(calls) == ["clique_partition_number", "transversal_number"], d
+
+    def test_the_core_pin_reads_the_graphs_ends(self):
+        # peeling keeps tau and k - kappa: the pin from the graph's values is
+        # the pin computed on the core, on every graph with n <= 3 and on
+        # random graphs with sources
+        rng = random.Random(8)
+        graphs = [d for n in (1, 2, 3) for d in small_digraphs(n)]
+        for _ in range(300):
+            n = rng.randint(4, 6)
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(2, n + 1)]
+            graphs.append(Digraph(n, [p for p in pairs if rng.random() < 0.4]))
+        for d in graphs:
+            core, _peeled = _source_core(d)
+            if core is None:
+                continue
+            ends = (transversal_number(d), d.n - clique_partition_number(d))
+            assert ends == (transversal_number(core), core.n - clique_partition_number(core)), d
+            assert _integer_pin(core, *ends) == _integer_pin(core), d
 
     def test_sandwich_on_all_two_vertex_graphs(self):
         for d in small_digraphs(2):

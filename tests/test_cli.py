@@ -145,6 +145,16 @@ class TestAnalyzeSharesTheCanonicalGraph:
         assert doc["canonical"]["Lp"] == bounds.lower
         assert (doc["minrank"]["lower"], doc["minrank"]["upper"]) == (bounds.lower, bounds.upper)
 
+    def test_one_conjunctive_rank_per_component(self, capsys, monkeypatch, fig1_file):
+        # the conjunctive rank section and the minrank upper bound share one
+        # count per weak component of the canonical graph
+        counted = count_calls(monkeypatch, canonical._conjunctive_piece_rank, [canonical])
+        rc, doc = run_json(capsys, ["analyze", fig1_file, "--q", "2"])
+        assert rc == 0
+        assert len(counted) == len(canonical._pieces(canonical.canonicalize(fx.FIG1)))
+        assert doc["conjunctive_rank"]["value"] == canonical.conjunctive_rank_of_canonical(
+            canonical.canonicalize(fx.FIG1))
+
     def test_a_refused_product_bound_falls_back_to_the_chain_bound(
             self, capsys, monkeypatch, fig1_file):
         def refused(c):
@@ -202,8 +212,8 @@ class TestExitCodes:
     def test_failed_integrity_check_is_one(self, capsys, monkeypatch, star3_file):
         real = kernels.family_histograms
 
-        def drop_one(w, counts, n_states, mult):
-            rank, periodic, fixed = real(w, counts, n_states, mult)
+        def drop_one(*args):
+            rank, periodic, fixed = real(*args)
             return rank - (rank == rank.max()), periodic, fixed
 
         monkeypatch.setattr(kernels, "family_histograms", drop_one)

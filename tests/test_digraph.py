@@ -4,7 +4,7 @@ import random
 
 import oracles
 import pytest
-from conftest import small_digraphs
+from conftest import blown_up_digraph, small_digraphs
 
 from fdsrank import fixtures as fx
 from fdsrank.digraph import (
@@ -100,24 +100,6 @@ def test_weak_components():
     assert weak_components(d) == [[1, 2], [3], [4, 5]]
 
 
-def _blown_up_digraph(rng, n):
-    """A random digraph whose vertices fall into random modules, every two
-    vertices of one module twins, with one arc sometimes flipped."""
-    m = rng.randint(1, n)
-    module = [rng.randrange(m) for _ in range(n)]
-    loop = [rng.random() < 0.5 for _ in range(m)]
-    inner = [rng.random() < 0.5 for _ in range(m)]
-    outer = {(a, b) for a in range(m) for b in range(m) if a != b and rng.random() < 0.4}
-    arcs = set()
-    for u, v in itertools.product(range(n), repeat=2):
-        a, b = module[u], module[v]
-        if (loop[a] if u == v else inner[a] if a == b else (a, b) in outer):
-            arcs.add((u + 1, v + 1))
-    if rng.random() < 0.3:
-        arcs ^= {(rng.randint(1, n), rng.randint(1, n))}
-    return Digraph(n, arcs)
-
-
 def test_twin_classes_against_brute_force():
     # every digraph on 1..3 vertices, then seeded 4..6 vertex digraphs:
     # plain random ones, and blown-up ones that have twins by construction
@@ -127,7 +109,7 @@ def test_twin_classes_against_brute_force():
         n = rng.randint(4, 6)
         pairs = itertools.product(range(1, n + 1), repeat=2)
         graphs.append(Digraph(n, [pr for pr in pairs if rng.random() < 0.4]))
-        graphs.append(_blown_up_digraph(rng, n))
+        graphs.append(blown_up_digraph(rng, n))
     with_twins = 0
     for d in graphs:
         classes = oracles.brute_twins(d)

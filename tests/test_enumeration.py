@@ -17,10 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import fdsrank
 import oracles
-from conftest import small_digraphs, unreduced_tensor
+from conftest import blown_up_digraph, small_digraphs, unreduced_tensor
 from fdsrank import enumeration, fds, kernels
 from fdsrank import fixtures as fx
-from fdsrank.digraph import Digraph, structure_stats
+from fdsrank.digraph import Digraph, structure_stats, twin_classes
 from fdsrank.enumeration import (
     enumerate_stats,
     essential_table_count,
@@ -149,10 +149,11 @@ class TestEnumerateStats:
 
     def test_byte_guard_prices_the_sweep_setup(self, monkeypatch):
         # then a one-byte padded tensor of 4 * 4336 * 16 cells and one
-        # vertex's one-byte gather of 4336 * 16
+        # vertex's one-byte gather of 4336 * 16; the kept rows take 5 blocks,
+        # so the plan sorts copies of its 4336 + 3 * 2 rows, 24 bytes each
         d, reps = self.FAN_IN, self.FAN_IN_ORBITS
         assert np.unique(enumeration._table_orbits(2, 4, group_coords(4, 0))).size == reps
-        priced = self.FAN_IN_TABLES + (4 + 1) * reps * 16
+        priced = self.FAN_IN_TABLES + (4 + 1) * reps * 16 + 24 * (reps + 3 * 2)
         monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced - 1)
         with pytest.raises(SizeLimitExceeded) as err:
             enumerate_stats(d, 2)
@@ -167,6 +168,42 @@ class TestEnumerateStats:
             enumerate_stats(d, 2)
         assert err.value.projected == self.FAN_IN_TABLES
         assert enumeration._table_orbits.cache_info().currsize == 0
+
+    def test_the_key_labelling_is_priced_before_it_is_allocated(self, monkeypatch):
+        # on the complete looped graph the key step (4 alphabet and 2 input
+        # generators over 256 tables) sets the orbit peak: a cap one byte
+        # under the price refuses the sweep before any key is labelled
+        d = LOOPED_K3
+        keyed = []
+        real = enumeration._table_orbits
+
+        def recorded(q, k, coords, swaps=()):
+            keyed.append(bool(swaps))
+            return real(q, k, coords, swaps)
+
+        def smallest_cap():
+            lo, hi = 1, 1 << 24
+            while lo < hi:
+                monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", (lo + hi) // 2)
+                try:
+                    enumeration.price_family(d, 2, False, math.inf, 1 << 24)
+                    hi = (lo + hi) // 2
+                except SizeLimitExceeded:
+                    lo = (lo + hi) // 2 + 1
+            return lo
+
+        priced = smallest_cap()
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "twin_classes", lambda d: [[v] for v in d.vertices()])
+            assert smallest_cap() < priced
+        monkeypatch.setattr(enumeration, "_table_orbits", recorded)
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced - 1)
+        with pytest.raises(SizeLimitExceeded) as err:
+            enumerate_stats(d, 2)
+        assert err.value.projected == priced and not any(keyed)
+        monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", priced)
+        enumerate_stats(d, 2)
+        assert any(keyed)
 
     def test_a_sweep_priced_at_its_orbit_representatives_runs(self, monkeypatch):
         # under a cap the unreduced tensor (4 * 2^16 * 16 cells) would pass,
@@ -250,10 +287,9 @@ class TestEnumerateStats:
         enumeration._essential_selector.cache_clear()
         enumeration._table_orbits.cache_clear()
         enumeration._orbit_leaders.cache_clear()
-        enumeration._table_keys.cache_clear()
         tracemalloc.start()
         try:
-            rows, _plan = enumeration._sweep_plan(d, q, strict, q ** d.n)
+            rows, _counts, _factors = enumeration._sweep_plan(d, q, strict, q ** d.n)
             enumeration._sweep_tensor(d, q, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -366,6 +402,15 @@ class TestTableOrbits:
                     assert label.tolist() == oracles.brute_table_orbits(
                         q, k, self_pos, moved, output), (moved, output)
 
+    @pytest.mark.parametrize("q,k,classes", [(2, 1, 2), (2, 2, 4), (2, 3, 14), (3, 1, 3),
+                                             (3, 2, 84)])
+    def test_key_classes_match_the_whole_key_group(self, q, k, classes):
+        # every input permutation with an alphabet permutation on each input
+        # and on the output: the NPN classes at q=2
+        label = enumeration._table_orbits(q, k, *enumeration._key_group(k))
+        assert label.tolist() == oracles.brute_table_class(q, k)
+        assert np.unique(label).size == classes
+
     @pytest.mark.parametrize("q,k,self_pos,loose,strict", [
         (2, 3, 0, 46, 33), (2, 3, 2, 46, 33), (3, 2, None, 139, None), (3, 2, 0, 638, None),
     ])
@@ -412,18 +457,16 @@ def chain_histograms(d, q, strict):
 
 
 def split_histograms(d, q, strict):
-    """The kernel's histograms over every sub-product of the twin split, each
-    times its weight, before any total check, and the number of sub-products.
+    """The kernel's histograms over the packed twin split, before any total
+    check, and its number of sub-products.
 
     No block count refuses the split here.
     """
-    rows = enumeration._chain_rows(d, q, strict)
-    split = enumeration._twin_split(d, q, rows, 1, math.inf)
-    hist = np.zeros((3, q ** d.n + 1), dtype=np.int64)
-    for weight, picks in split:
-        w, counts, mult = enumeration._sweep_tensor(d, q, rows, picks)
-        hist += weight * np.array(kernels.family_histograms(w, counts, q ** d.n, mult))
-    return hist, len(split)
+    rows, counts, factors = enumeration._twin_split(
+        d, q, enumeration._chain_rows(d, q, strict), 1, math.inf)
+    w, _live, mult = enumeration._sweep_tensor(d, q, rows)
+    hist = np.array(kernels.family_histograms(w, counts, q ** d.n, mult, factors))
+    return hist, math.prod(len(subs) for _, subs in factors)
 
 
 def assert_chain_sweep_is_the_unreduced_sweep(d, q, strict):
@@ -473,23 +516,21 @@ def test_a_wrong_weight_is_caught(monkeypatch, d, q):
 
 
 def test_one_kernel_call_per_sweep(monkeypatch):
-    # one call per planned sub-product, and exactly one on the plain plan
-    real, calls = kernels.family_histograms, []
+    # one kernel call and one tensor a sweep, whichever plan it takes
+    calls = Counter()
+    for module, name in [(kernels, "family_histograms"), (enumeration, "_sweep_tensor")]:
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
 
-    def counted(*args):
-        calls.append(args[1].tolist())
-        return real(*args)
-
-    monkeypatch.setattr(kernels, "family_histograms", counted)
+        monkeypatch.setattr(module, name, counted)
     for d, q in CHAIN_FAMILIES + [(LOOPED_K3, 2), (DROP_LOOP_K3, 2), (fx.C3, 2)]:
         for strict in (False, True):
             calls.clear()
             enumerate_stats(d, q, strict=strict)
-            _rows, plan = enumeration._sweep_plan(d, q, strict, q ** d.n)
-            assert len(calls) == len(plan), (d, q, strict)
-            assert (len(plan) > 1) == (d == LOOPED_K3), (d, q, strict)
-            if d != LOOPED_K3:
-                assert plan == [(1, {})]
+            assert calls == Counter(family_histograms=1, _sweep_tensor=1), (d, q, strict)
+            _rows, _counts, factors = enumeration._sweep_plan(d, q, strict, q ** d.n)
+            assert (factors is not None) == (d in (LOOPED_K3, DROP_LOOP_K3)), (d, q, strict)
 
 
 # (graph, alphabet) with twin classes of two and three vertices and more
@@ -514,28 +555,81 @@ def test_twin_split_equals_the_unreduced_sweep(d, q, strict):
 
 
 def test_a_wrong_multinomial_weight_is_caught(monkeypatch):
-    # one multiset's weight off by one, for one of weight 1 and one above
+    # one run's class weight off by one, for one of weight 1 and one above
     d, q = LOOPED_K3, 2
     plain = chain_histograms(d, q, False)
-    real = enumeration._key_multisets
+    real = enumeration._multinomial
     for above_one in (False, True):
-        def off_by_one(keys, size, above_one=above_one):
-            multisets = real(keys, size)
-            i = next(i for i, (weight, _) in enumerate(multisets) if (weight > 1) == above_one)
-            multisets[i] = (multisets[i][0] + 1, multisets[i][1])
-            return multisets
+        wrong = []
 
-        monkeypatch.setattr(enumeration, "_key_multisets", off_by_one)
+        def off_by_one(combo, above_one=above_one):
+            weight = real(combo)
+            if not wrong and (weight > 1) == above_one:
+                wrong.append(combo)
+                return weight + 1
+            return weight
+
+        monkeypatch.setattr(enumeration, "_multinomial", off_by_one)
         assert not np.array_equal(split_histograms(d, q, False)[0], plain)
+        wrong.clear()
         with pytest.raises(IntegrityError):
             enumerate_stats(d, q)
 
 
+# twin families drawn from random modules: n <= 4, q <= 3, and an unreduced
+# sweep small enough to compare with
+def random_twin_families(seed, count):
+    """``count`` families of each kind of twin classes: one class of 2, one
+    of 3, and two classes."""
+    rng = random.Random(seed)
+    kinds = Counter()
+    families = []
+    while min(kinds[kind] for kind in [(2,), (3,), (2, 2)]) < count:
+        d = blown_up_digraph(rng, rng.randint(2, 4))
+        q = rng.choice((2, 3))
+        kind = tuple(sorted(len(c) for c in twin_classes(d) if len(c) > 1))
+        if kind and kinds[kind] < count and family_size(d, q, False) <= 100_000:
+            kinds[kind] += 1
+            families.append((d, q))
+    return families
+
+
+RANDOM_TWIN_FAMILIES = random_twin_families(24, 8)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+def test_packed_split_equals_the_unreduced_sweep_on_random_twin_families(strict):
+    sizes = Counter()
+    for d, q in RANDOM_TWIN_FAMILIES:
+        if family_size(d, q, strict) == 0:
+            continue
+        unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n))
+        assert np.array_equal(split_histograms(d, q, strict)[0], unreduced), (d.arcs, q)
+        sizes[tuple(sorted(len(c) for c in twin_classes(d) if len(c) > 1))] += 1
+    # classes of 2 and of 3 twins, and two classes in one graph
+    assert sizes[(2,)] and sizes[(3,)] and sizes[(2, 2)], sizes
+
+
+@pytest.mark.parametrize("d,q,cells", [
+    (Digraph(4, [(4, 1), (4, 2), (4, 3)]), 3, 5),
+    (Digraph(4, [(4, 1), (4, 2), (4, 3)]), 3, 24),
+    (DROP_LOOP_K3, 2, 1000),
+], ids=["3^4-5", "3^4-24", "2^3-1000"])
+def test_sub_products_straddling_blocks_give_the_same_histograms(monkeypatch, d, q, cells):
+    # blocks of a few columns: sub-products are cut across block boundaries,
+    # inside a head and between heads, and blocks mix column classes
+    for strict in (False, True):
+        whole = split_histograms(d, q, strict)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "BLOCK_CELLS", cells * q ** d.n)
+            assert np.array_equal(split_histograms(d, q, strict)[0], whole)
+
+
 class TestSweepPlan:
     def counters(self, monkeypatch):
-        """Calls to twin_classes, _table_keys and _key_multisets, as they happen."""
+        """Calls to twin_classes, _key_group and _multinomial, as they happen."""
         calls = Counter()
-        for name in ("twin_classes", "_table_keys", "_key_multisets"):
+        for name in ("twin_classes", "_key_group", "_multinomial"):
             def counted(*args, real=getattr(enumeration, name), name=name):
                 calls[name] += 1
                 return real(*args)
@@ -544,16 +638,22 @@ class TestSweepPlan:
         return calls
 
     @pytest.mark.parametrize("strict,sub_products,systems",
-                             [(False, 35, 961_736), (True, 20, 563_076)])
-    def test_the_complete_looped_graph_splits(self, strict, sub_products, systems):
-        # 3,014,656 and 1,568,292 systems on the chain's rows alone
-        rows, plan = enumeration._sweep_plan(LOOPED_K3, 2, strict, 8)
-        assert len(plan) == sub_products
-        swept = [math.prod(picks[v].size for v in range(3)) for _, picks in plan]
-        assert sum(swept) == systems
-        # each sub-product counts its systems times their orbit sizes
-        counted = sum(weight * math.prod(int(rows[v][1][picks[v]].sum()) for v in range(3))
-                      for weight, picks in plan)
+                             [(False, 105, 507_980), (True, 55, 330_708)])
+    def test_the_complete_looped_graph_splits_in_the_cheapest_order(
+            self, strict, sub_products, systems):
+        # 3,014,656 and 1,568,292 systems on the chain's rows alone; the
+        # cheapest order of each key multiset, found by trying every order,
+        # sweeps as many
+        rows, counts, factors = enumeration._sweep_plan(LOOPED_K3, 2, strict, 8)
+        (members, subs), = factors
+        assert len(subs) == sub_products and counts == [systems]
+        assert sum(math.prod(runs[-1][1] - runs[0][0] for runs in sub) for sub in subs) == systems
+        # each sub-product counts its systems times their orbit sizes and
+        # the weights of their runs
+        counted = sum(
+            math.prod(sum(weight * int(rows[v][1][a:b].sum()) for a, b, weight in runs)
+                      for v, runs in zip(members, sub))
+            for sub in subs)
         assert counted == family_size(LOOPED_K3, 2, strict)
 
     def test_one_block_is_swept_plain_without_keys(self, monkeypatch):
@@ -561,39 +661,38 @@ class TestSweepPlan:
         calls = self.counters(monkeypatch)
         for d, q in [(Digraph(3, [(3, 1), (3, 2), (3, 3)]), 2), (fx.E3, 3)]:
             n_states = q ** d.n
-            rows, plan = enumeration._sweep_plan(d, q, False, n_states)
-            systems = math.prod(codes.size for codes, _ in rows)
-            assert enumeration._kernel_blocks(systems, kernels.BLOCK_CELLS // n_states) == 1
-            assert plan == [(1, {})]
+            rows, counts, factors = enumeration._sweep_plan(d, q, False, n_states)
+            assert enumeration._kernel_blocks(math.prod(counts), kernels.BLOCK_CELLS // n_states) == 1
+            assert factors is None
         assert calls == Counter()
         enumeration._sweep_plan(LOOPED_K3, 2, False, 8)
-        assert calls == Counter(twin_classes=1, _table_keys=1, _key_multisets=1)
+        assert calls["twin_classes"] == 1 and calls["_key_group"] == 1
+        assert calls["_multinomial"] == 2 * 105 - 14  # no later keys after the last
 
     @pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
     def test_too_many_sub_products_exit_before_any_is_listed(self, monkeypatch, strict):
-        # dropping a loop leaves twins 1 and 2 of 5 keys loose (15 key
-        # multisets against 12 blocks) and 4 keys strict (10 against 5)
+        # twins 2, 3 and 4 read nothing: one key, so the split packs into as
+        # many blocks as the plain plan (5), and none of it is listed
         calls = self.counters(monkeypatch)
-        rows, plan = enumeration._sweep_plan(DROP_LOOP_K3, 2, strict, 8)
-        assert plan == [(1, {})]
-        assert calls["_table_keys"] == 1 and calls["_key_multisets"] == 0
-        plain = enumeration._kernel_blocks(math.prod(codes.size for codes, _ in rows), 16384)
-        assert (plain, len(enumeration._twin_split(DROP_LOOP_K3, 2, rows, 16384, math.inf))) \
-            == ((12, 15) if not strict else (5, 10))
-
-    def test_a_split_of_more_blocks_is_listed_and_refused(self, monkeypatch):
-        # twins 2 and 3 at q=2, strict: 10 sub-products against 11 blocks of
-        # the chain's rows, but the sub-products take 14 blocks
-        d = Digraph(4, [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
-        calls = self.counters(monkeypatch)
-        rows, plan = enumeration._sweep_plan(d, 2, True, 16)
-        assert plan == [(1, {})] and calls["_key_multisets"] == 1
-        plain = enumeration._kernel_blocks(math.prod(codes.size for codes, _ in rows), 8192)
+        d = Digraph(4, [(u, 1) for u in range(1, 5)])
+        rows, counts, factors = enumeration._sweep_plan(d, 2, strict, 16)
+        assert factors is None and calls["_key_group"] == 1 and calls["_multinomial"] == 0
+        plain = enumeration._kernel_blocks(math.prod(counts), 8192)
         split = enumeration._twin_split(d, 2, rows, 8192, math.inf)
-        systems = [math.prod(picks[v].size if v in picks else codes.size
-                             for v, (codes, _) in enumerate(rows)) for _, picks in split]
-        blocks = sum(enumeration._kernel_blocks(n, 8192) for n in systems)
-        assert (len(split), plain, blocks) == (10, 11, 14)
+        assert (plain, enumeration._kernel_blocks(math.prod(split[1]), 8192)) == (5, 5)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+    def test_the_split_is_taken_when_it_packs_into_fewer_blocks(self, strict):
+        # dropping a loop leaves twins 1 and 2: 12 plain blocks loose, 5
+        # strict, and the split's 81,952 and 36,260 systems pack into 6 and 3
+        rows, counts, factors = enumeration._sweep_plan(DROP_LOOP_K3, 2, strict, 8)
+        plain = enumeration._kernel_blocks(
+            math.prod(codes.size for codes, _ in enumeration._chain_rows(DROP_LOOP_K3, 2, strict)),
+            16384)
+        packed = enumeration._kernel_blocks(math.prod(counts), 16384)
+        assert factors is not None
+        assert (plain, math.prod(counts), packed) == ((12, 81_952, 6) if not strict
+                                                      else (5, 36_260, 3))
 
 
 class TestMinrankExact:
@@ -663,8 +762,8 @@ DROP_ONE_SYSTEM = textwrap.dedent("""
         sys.exit("asserts are on")
     real = kernels.family_histograms
     for which in range(3):
-        def drop_one(w, counts, n_states, mult):
-            hists = [h.copy() for h in real(w, counts, n_states, mult)]
+        def drop_one(*args):
+            hists = [h.copy() for h in real(*args)]
             hists[which][np.nonzero(hists[which])[0][0]] -= 1
             return tuple(hists)
         kernels.family_histograms = drop_one

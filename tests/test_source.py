@@ -192,9 +192,9 @@ def test_one_sweep_path_through_the_orbit_reduction():
     params = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
               for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert params["enumerate_stats"] == ["d", "q", "strict", "max_funcs", "max_states"]
-    # the tensor holds the rows the chain keeps, or a sub-product's picks of
-    # them: no caller names a vertex's group or turns a reduction off
-    assert params["_sweep_tensor"] == ["d", "q", "rows", "picks"]
+    # the tensor holds the rows the plan keeps, built once a sweep: no caller
+    # names a vertex's group, picks a sub-product or turns a reduction off
+    assert params["_sweep_tensor"] == ["d", "q", "rows"]
 
 
 def test_kernels_bin_in_integers():
