@@ -134,14 +134,14 @@ def _source_core(d: Digraph) -> tuple[Digraph | None, tuple[int, ...]]:
 
 
 def _integer_pin(core: Digraph, tau: int | None = None,
-                 clique_end: int | None = None) -> int | None:
+                 clique_end: int | None = None, nu: int | None = None) -> int | None:
     """tau when max(nu, k - kappa) reaches it, else None.
 
-    ``tau`` and ``clique_end`` (k - kappa), when given, are the core's
-    values already computed; the others are computed here. An invariant
-    refused by its own guard leaves its end out. nu enumerates every cycle
-    (up to 100,000 of them on dense cores), so it runs only when tau and
-    k - kappa have not met already.
+    ``tau``, ``clique_end`` (k - kappa) and ``nu``, when given, are the
+    core's values already computed; the others are computed here. An
+    invariant refused by its own guard leaves its end out. nu enumerates
+    every cycle (up to 100,000 of them on dense cores), so unless given it
+    runs only when tau and k - kappa have not met already.
     """
     try:
         high = transversal_number(core) if tau is None else tau
@@ -149,7 +149,7 @@ def _integer_pin(core: Digraph, tau: int | None = None,
         return None
     for low in (lambda: core.n - clique_partition_number(core) if clique_end is None
                 else clique_end,
-                lambda: cycle_packing_number(core)):
+                lambda: cycle_packing_number(core) if nu is None else nu):
         try:
             if low() == high:
                 return high
@@ -276,7 +276,7 @@ def _entropy_lp(d: Digraph) -> Fraction:
 
 @lru_cache(maxsize=1024)
 def entropy_report(d: Digraph, tau: int | None = None,
-                   clique_end: int | None = None) -> EntropyReport:
+                   clique_end: int | None = None, nu: int | None = None) -> EntropyReport:
     """Optimal value of the shared-entropy program bounding log_q of max fixed points.
 
     Vertices with no in-arcs force their coordinate in every fixed point, so
@@ -318,18 +318,18 @@ def entropy_report(d: Digraph, tau: int | None = None,
     skips the join classes; if its ends do not meet it raises
     ``SizeLimitExceeded``, as does a program whose optimum is not certified.
 
-    ``tau`` and ``clique_end`` (n - kappa), when given, are those of ``d``
-    itself, which the caller has already computed. They are the core's
-    too: peeling removes vertices on no cycle, so tau stays, and in no
-    clique of two or more, since a peeled vertex has no in-arc from any
-    vertex peeled after it or left in the core, so each was a clique of
-    its own and k - kappa stays.
+    ``tau``, ``clique_end`` (n - kappa) and ``nu``, when given, are those
+    of ``d`` itself, which the caller has already computed. They are the
+    core's too: peeling removes vertices on no cycle, so tau and nu stay,
+    and in no clique of two or more, since a peeled vertex has no in-arc
+    from any vertex peeled after it or left in the core, so each was a
+    clique of its own and k - kappa stays.
     """
     core, peeled = _source_core(d)
     if core is None:
         return EntropyReport(Fraction(0), peeled, "peeled-empty")
     if core.n > ENTROPY_VERTEX_CAP:
-        pin = _integer_pin(core, tau, clique_end)
+        pin = _integer_pin(core, tau, clique_end, nu)
         if pin is None:
             raise SizeLimitExceeded(
                 f"entropy program capped at {ENTROPY_VERTEX_CAP} core vertices, "
@@ -341,7 +341,7 @@ def entropy_report(d: Digraph, tau: int | None = None,
     full_root = root[-1]  # the full mask is the last
     if full_root in const:
         return EntropyReport(const[full_root], peeled, "pinned")
-    pin = _integer_pin(core, tau, clique_end)
+    pin = _integer_pin(core, tau, clique_end, nu)
     value = _solve_dual(_entropy_program(core)) if pin is None else Fraction(pin)
     return EntropyReport(value, peeled, "exact-dual")
 
@@ -416,15 +416,20 @@ def _answer(value):
 
 
 def fix_bounds_report(d: Digraph, q: int, strict: bool = False) -> BoundsReport:
-    """Every applicable fixed-point bound for the family, with a consistency verdict."""
-    return _fix_bounds(d, q, strict, _refusable(transversal_number, d),
-                       _refusable(clique_partition_number, d))
+    """Every applicable fixed-point bound for the family, with a consistency verdict.
+
+    The cycle packing number is computed here with tau and kappa, since
+    every report reads it: the packing bound, the packing-plus-one bound,
+    or the ghost alphabet's packing bound.
+    """
+    return _fix_bounds(d, q, strict, *(_refusable(invariant, d) for invariant in (
+        transversal_number, clique_partition_number, cycle_packing_number)))
 
 
-def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa) -> BoundsReport:
-    """:func:`fix_bounds_report`, given the transversal and clique partition
-    numbers of ``d`` (or their refusals), each computed once and shared
-    with the entropy pin and the ghost alphabet."""
+def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa, nu) -> BoundsReport:
+    """:func:`fix_bounds_report`, given the transversal, clique partition
+    and cycle packing numbers of ``d`` (or their refusals), each computed
+    once and shared with the entropy pin and the ghost alphabet."""
     report = BoundsReport(target="max_fixed_points", strict=strict, q=q)
     stats = structure_stats(d)
 
@@ -452,9 +457,9 @@ def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa) -> BoundsReport:
     )
 
     def entropy_bound():
-        known_tau = None if isinstance(tau, SizeLimitExceeded) else tau
+        known_tau, known_nu = (None if isinstance(x, SizeLimitExceeded) else x for x in (tau, nu))
         clique_end = None if isinstance(kappa, SizeLimitExceeded) else d.n - kappa
-        rep = entropy_report(d, known_tau, clique_end)
+        rep = entropy_report(d, known_tau, clique_end, known_nu)
         report.entropy = rep
         report.entropy_exponent = rep.value
         return _floor_power(q, rep.value)
@@ -479,14 +484,14 @@ def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa) -> BoundsReport:
             attempt(
                 "ghost",
                 "lower",
-                lambda: _fix_bounds(d, q - 1, False, tau, kappa).best_lower,
+                lambda: _fix_bounds(d, q - 1, False, tau, kappa, nu).best_lower,
                 "padding letters never used by a smaller-alphabet witness",
             )
         if q == 2:
             attempt(
                 "packing_plus_one",
                 "lower",
-                lambda: cycle_packing_number(d) + 1,
+                lambda: _answer(nu) + 1,
                 "threshold states over a maximum cycle packing",
             )
     else:
@@ -499,7 +504,7 @@ def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa) -> BoundsReport:
         attempt(
             "packing",
             "lower",
-            lambda: q ** cycle_packing_number(d),
+            lambda: q ** _answer(nu),
             "independent shift witnesses on a maximum cycle packing",
         )
         attempt(

@@ -89,6 +89,23 @@ same key counts the multinomial weight of the multiset with that key
 twice, the run of later keys the weight with one new key. The sweep takes
 whichever plan, the chain's rows whole or the twin split, packs into fewer
 kernel blocks (:func:`_sweep_plan`).
+
+A loose sweep bins its strict family in the same kernel call. Every
+strict system is a loose one, and every group above keeps essential
+dependence, so each chain orbit and each key class is all essential or
+all not. The arguments above therefore hold inside the strict family: its
+histograms are those of the loose sweep's systems whose rows are all
+essential, counted with the same orbit sizes and multinomials. This needs
+no particular chain, since any chain is exact, so the strict histograms
+are read off the loose chain's rows even where the strict chain would take
+the vertices in another order (at q=2 in-degrees 0 and 1 tie at 2 strict
+tables each, and the loose chain puts in-degree 1 first). The loose sweep
+flags each row it keeps as essential or not (cached with the orbit
+leaders) and keeps the flagged histograms for the last graph and alphabet
+it swept, one slot. A strict request is priced first, so a refusal keeps
+its message and projected size; then it reads the slot if it holds its
+graph and alphabet, and else sweeps the strict rows. Either way its
+histograms pass the same total check against the strict family size.
 """
 
 from __future__ import annotations
@@ -437,54 +454,60 @@ def _chain_groups(
 
 
 @lru_cache(maxsize=64)
-def _orbit_leaders(q: int, k: int, coords, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_leaders(
+    q: int, k: int, coords, strict: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Codes of the tables on k inputs that lead their orbit under ``coords``,
-    increasing, and the size of each one's orbit.
+    increasing, the size of each one's orbit, and whether each is essential.
 
-    Strict keeps the essential tables only.
+    Strict keeps the essential tables only. An orbit is all essential or
+    all not, so the flags mark the strict family's rows among the loose ones.
     """
+    essential = np.zeros(q ** (q ** k), dtype=bool)
+    essential[_essential_selector(q, k)] = True
     if not coords:
-        codes = _essential_selector(q, k) if strict else np.arange(q ** (q ** k))
-        return codes, np.ones(codes.size, dtype=np.int64)
+        codes = np.flatnonzero(essential) if strict else np.arange(essential.size)
+        return codes, np.ones(codes.size, dtype=np.int64), essential[codes]
     label = _table_orbits(q, k, coords)
     sizes = np.bincount(label, minlength=label.size)
     live = sizes > 0
     if strict:
-        essential = np.zeros_like(live)
-        essential[_essential_selector(q, k)] = True
         live &= essential
     codes = np.flatnonzero(live)
-    return codes, sizes[codes]
+    return codes, sizes[codes], essential[codes]
 
 
-def _chain_rows(d: Digraph, q: int, strict: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+def _chain_rows(
+    d: Digraph, q: int, strict: bool
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """For each vertex from 0, the codes of the tables it keeps, one per orbit
-    of its chain group, and each one's orbit size."""
+    of its chain group, each one's orbit size, and whether each is essential."""
     ins = d.in_map()
     inputs = [sorted(ins[v]) for v in d.vertices()]
     for k in {len(i) for i in inputs}:  # free each int64 digit matrix before any tensor exists
-        (_essential_selector if strict else _all_tables)(q, k)
+        _essential_selector(q, k)
     return [_orbit_leaders(q, len(i), coords, strict)
             for i, coords in zip(inputs, _chain_groups(d, q, strict))]
 
 
 def _sweep_tensor(
-    d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]],
+    d: Digraph, q: int, rows: list[tuple[np.ndarray, ...]],
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Padded tensor ``w``, live row counts and each live row's multiplicity.
 
     ``rows[v]`` holds the codes of the tables vertex v+1 keeps and their
-    multiplicities. ``w[v, t]`` is the t-th kept table times q^v.
+    multiplicities, then their flags. ``w[v, t]`` is the t-th kept table
+    times q^v.
     """
     ins = d.in_map()
-    counts = np.array([codes.size for codes, _ in rows], dtype=np.int64)
+    counts = np.array([row[0].size for row in rows], dtype=np.int64)
     w = np.zeros((d.n, int(counts.max()), q ** d.n), dtype=np.min_scalar_type(q ** d.n - 1))
-    for v, (codes, _) in enumerate(rows):
+    for v, (codes, *_) in enumerate(rows):
         inputs = sorted(ins[v + 1])
         tables = _all_tables(q, len(inputs))
         np.multiply(tables[np.ix_(codes, input_index(d.n, q, inputs))], w.dtype.type(q ** v),
                     out=w[v, : counts[v]], casting="unsafe")
-    return w, counts, [sizes for _, sizes in rows]
+    return w, counts, [row[1] for row in rows]
 
 
 def _multinomial(combo: tuple[int, ...]) -> int:
@@ -498,7 +521,7 @@ def _kernel_blocks(systems: int, cols: int) -> int:
     return -(-systems // cols)
 
 
-def _twin_split(d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]], cols: int,
+def _twin_split(d: Digraph, q: int, rows: list[tuple[np.ndarray, ...]], cols: int,
                 plain: int):
     """The twin split as (rows, counts, factors) for the kernel, when it packs
     into fewer kernel blocks than ``plain``, else None.
@@ -535,7 +558,7 @@ def _twin_split(d: Digraph, q: int, rows: list[tuple[np.ndarray, np.ndarray]], c
         starts = []
         for v, i, counts in zip(members, index, per_key):
             order = np.lexsort((rows[v][1], rank[i]))
-            rows[v] = (rows[v][0][order], rows[v][1][order])
+            rows[v] = tuple(a[order] for a in rows[v])
             starts.append(np.cumsum([0] + [counts[x] for x in ranked]).tolist())
         # tuples of rows along non-decreasing ranks, one member at a time
         tuples = [b - a for a, b in zip(starts[0], starts[0][1:])]
@@ -575,14 +598,20 @@ def _sweep_plan(d: Digraph, q: int, strict: bool, n_states: int):
     """
     rows = _chain_rows(d, q, strict)
     cols = max(1, kernels.BLOCK_CELLS // n_states)
-    counts = [codes.size for codes, _ in rows]
+    counts = [row[0].size for row in rows]
     plain = _kernel_blocks(math.prod(counts), cols)
     if plain == 1:
         return rows, counts, None
-    # rows in order of multiplicity, so that most blocks share one weight
-    rows = [(codes[order], sizes[order]) for codes, sizes in rows
-            for order in [np.argsort(sizes, kind="stable")]]
+    # rows in order of flag, then multiplicity, so that most blocks share
+    # one class
+    rows = [tuple(a[order] for a in row) for row in rows
+            for order in [np.lexsort((row[1], row[2]))]]
     return _twin_split(d, q, rows, cols, plain) or (rows, counts, None)
+
+
+# the strict histograms the last loose sweep binned, under (graph, alphabet):
+# one slot, so a strict request right after the loose one reads them
+_strict_memo: dict[tuple[Digraph, int], np.ndarray] = {}
 
 
 def enumerate_stats(
@@ -594,20 +623,32 @@ def enumerate_stats(
 ) -> StatsReport:
     """Exact min/average/max and histograms of rank, periodic rank, fixed points.
 
-    ``max_funcs`` defaults to ``DEFAULT_MAX_FUNCS``, read at call time.
+    ``max_funcs`` defaults to ``DEFAULT_MAX_FUNCS``, read at call time. A
+    loose sweep bins the strict family too, and keeps its histograms for
+    the next strict request of the same graph and alphabet, which is still
+    priced and checked as if it swept.
     """
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
     total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    rows, counts, factors = _sweep_plan(d, q, strict, n_states)
-    w, _live, mult = _sweep_tensor(d, q, rows)
-    hists = np.array(kernels.family_histograms(w, counts, n_states, mult, factors))
-    # the only guard against a kernel or a weight that drops or double-counts systems
+    hists = _strict_memo.get((d, q)) if strict else None
+    if hists is None:
+        rows, counts, factors = _sweep_plan(d, q, strict, n_states)
+        w, _live, mult = _sweep_tensor(d, q, rows)
+        hists = np.array(kernels.family_histograms(
+            w, counts, n_states, mult, factors, None if strict else [row[2] for row in rows]))
+        # a loose sweep's histograms run on into those of its strict family
+        hists, flagged = hists[:, : n_states + 1], hists[:, n_states + 1 :]
+    # the only guard against a kernel, a weight or a flag that drops or
+    # double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
         if int(hist.sum()) != total:
             raise IntegrityError(
                 f"{name} histogram counts {int(hist.sum())} systems, family has {total}"
             )
+    if not strict:
+        _strict_memo.clear()
+        _strict_memo[d, q] = flagged
     hist_rank, hist_per, hist_fix = hists
     return StatsReport(
         graph=fingerprint(d),

@@ -15,28 +15,34 @@ By default vertex v is factor v, with the first ``counts[v]`` rows of
 each a contiguous range of every one of its vertices' rows, cut into runs
 of a weight. ``mult[v]``, when given, holds an integer multiplicity for
 each row of ``w[v]``, and a combination counts the product of its rows'
-multiplicities and run weights.
+multiplicities and run weights. ``flags[v]``, when given, marks each row
+of ``w[v]`` 0 or 1, and the same pass also histograms the combinations
+whose rows are all marked: the strict family inside the loose one.
 
 The product of the factors' sub-products gives the pieces of the sweep,
 each a table product of row ranges. Maps are built in state-major blocks:
 C-contiguous (n_states, B) arrays of ``BLOCK_CELLS`` cells whose column c
 holds one map, filled across pieces, so that only the last block of a
-call is short. In each piece vertices whose rows do not all count equally
-are taken outermost, then the rest, either way largest table list
-outermost. The table product of the innermost vertices that fits in one
-block is built once per piece by broadcast adds; the next vertex out (the
-boundary) gives the heads, each added to every inner column, and every
-vertex further out adds one prefix column. No system costs a division or
+call is short. In each piece vertices whose rows differ in weight (a
+flag alone does not count) are taken outermost, then the rest, either way
+largest table list outermost. The table product of the innermost vertices
+that fits in one block is built once per piece by broadcast adds; the
+next vertex out (the boundary) gives the heads, each added to every inner
+column, and every vertex further out adds one prefix column. No system costs a division or
 a gather. A piece whose product overruns a block continues in the next
 one, inside a head if need be.
 
 Every column carries a class: a mixed-radix number over the vertices
-whose rows count unequally, one digit for each row's multiplicity and run
-weight, indexing a small table of weights (orbit size times multinomial,
-in the twin split). A block whose columns all share one class is binned
-once, unweighted, into the histograms of its class, scaled once at the
-end. Other blocks take one bin count over (class, value) pairs and a
-product with the class weights. Histograms stay int64 throughout.
+whose rows count unequally, one digit for each row's multiplicity, flag
+and run weight, indexing a small table of weights (orbit size times
+multinomial, in the twin split). With flags the table has two rows: the
+weight, and the weight times the product of the column's flags, so the
+flagged histograms cost no second pass. A block whose columns all share
+one class is binned once, unweighted, into the histograms of its class,
+scaled once at the end by both rows. Other blocks take one bin count over
+(class, value) pairs and a product with the class weights. A vertex
+whose rows in a piece share one class carries it as one number, not a
+digit a column. Histograms stay int64 throughout.
 
 Up to 64 states a set of states is a bitset in the narrowest unsigned word
 that holds ``n_states`` bits, one word per column:
@@ -47,7 +53,8 @@ that holds ``n_states`` bits, one word per column:
   stays put for good, and the limit is the set of periodic points. A block
   is done when no column moves, after n_states - 1 steps at the latest.
   With words wider than a byte, settled columns are counted and dropped once
-  at most a quarter of the block still moves;
+  at most a quarter of the block still moves, and the block is binned once
+  at the end;
 - fixed points take one compare per state.
 
 Above 64 states no word holds a set. Each block is turned to one map per
@@ -79,38 +86,49 @@ def _uint(bits: int):
     raise ValueError(f"no unsigned dtype has {bits} bits")
 
 
-def _weight_classes(live, mult, pieces, n_bins, cols):
-    """Each vertex's per-row class digit, and the weight of each class.
+def _weight_classes(live, mult, flags, pieces, n_bins, cols):
+    """Each vertex's per-row class digit, and the weights of each class.
 
     A column's raw class is the sum of its rows' digits, a mixed-radix
     number over the vertices whose rows do not all count equally: a row's
-    digit names its multiplicity and the weight of its run. Returns (each
-    vertex's digits, the digit step of each of its run weights, the weight
-    of each class, raw class -> class); a vertex whose rows all count
-    equally has no digits (None). Raw classes are mapped to their distinct
-    weights only when their bins would outnumber a block's columns, else
-    the map is None.
+    digit names its multiplicity, its flag and the weight of its run.
+    Returns (each vertex's digits, the digit step of each of its run
+    weights, the weights of each class, raw class -> class, whether each
+    vertex's rows differ in weight, not in flag alone); a vertex whose rows
+    all count equally has no digits (None). The weights are one row,
+    or with flags two: a column's weight, and that weight times the product
+    of its rows' flags. Raw classes are mapped to their distinct weights
+    only when their bins would outnumber a block's columns, else the map is
+    None.
     """
-    digits, steps = [None] * len(live), [None] * len(live)
-    table, scale = np.ones(1, dtype=np.int64), 1
+    digits, steps, weighted = [None] * len(live), [None] * len(live), [False] * len(live)
+    # each class's weight, and with flags whether all its rows are flagged
+    table = flagged = np.ones(1, dtype=np.int64)
     for v, rows in enumerate(live):
-        m = np.ones(rows, dtype=np.int64) if mult is None else np.asarray(
+        key = np.ones(rows, dtype=np.int64) if mult is None else np.asarray(
             mult[v][:rows], dtype=np.int64)
+        if flags is not None:  # the flag as the lowest bit
+            key = 2 * key + flags[v][:rows]
         runs = sorted({weight for piece in pieces for _, _, weight in piece[v]})
-        if len(runs) == 1 and (m == m[0]).all():
-            scale *= runs[0] * int(m[0])
-            continue
-        values = _distinct(m)
-        radix = table.size
-        digits[v] = np.searchsorted(values, m) * radix
-        steps[v] = {weight: i * values.size * radix for i, weight in enumerate(runs)}
-        table = np.multiply.outer(np.multiply.outer(np.array(runs, dtype=np.int64), values),
-                                  table).ravel()
-    table *= scale
-    if table.size * n_bins <= cols:
-        return digits, steps, table, None
-    weights = _distinct(table)
-    return digits, steps, weights, np.searchsorted(weights, table)
+        values = key[:1] if key[0] == key[-1] and (key == key[0]).all() else _distinct(key)
+        if len(runs) > 1 or values.size > 1:
+            radix = table.size
+            digits[v] = np.searchsorted(values, key) * radix
+            steps[v] = {weight: i * values.size * radix for i, weight in enumerate(runs)}
+        if flags is not None:
+            flagged = np.concatenate([np.multiply.outer(values & 1, flagged).ravel()] * len(runs))
+            values = values >> 1
+        weighted[v] = len(runs) > 1 or values[0] != values[-1]
+        table = np.multiply.outer(values, table).ravel()
+        table = np.concatenate([table * weight for weight in runs])
+    remap = None
+    if table.size * n_bins > cols:
+        key = table if flags is None else 2 * table + flagged
+        values = _distinct(key)
+        remap = np.searchsorted(values, key)
+        table, flagged = (values, None) if flags is None else (values >> 1, values & 1)
+    weights = np.array([table] if flags is None else [table, table * flagged])
+    return digits, steps, weights, remap, weighted
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -120,26 +138,35 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-def _piece_rows(rows, digits, steps, piece):
+def _piece_rows(rows, digits, steps, piece, memo):
     """Each vertex's rows in a piece, (n_states, r), and their raw class
-    digits, None where all are 0."""
+    digits, an int where all are equal. ``memo`` keeps them by vertex and
+    runs across the pieces of a call."""
     out = []
     for v, runs in enumerate(piece):
-        raw = digits[v]
-        if raw is not None:
-            parts = [raw[a:b] + steps[v][weight] for a, b, weight in runs]
-            raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        out.append((rows[v][:, runs[0][0] : runs[-1][1]], raw))
+        got = memo.get((v, runs))
+        if got is None:
+            raw = digits[v]
+            if raw is None:
+                raw = 0
+            else:
+                parts = [raw[a:b] + steps[v][weight] for a, b, weight in runs]
+                raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                if raw[0] == raw[-1] and (raw == raw[0]).all():
+                    raw = int(raw[0])
+            got = memo[v, runs] = (rows[v][:, runs[0][0] : runs[-1][1]], raw)
+        out.append(got)
     return out
 
 
 def _product_classes(outer, inner, outer_n, inner_n):
     """Raw classes of the product of two row lists of ``outer_n`` and
-    ``inner_n`` rows, ``outer`` outermost; None stands for all 0."""
-    if outer is None:
-        return None if inner is None else np.tile(inner, outer_n)
-    if inner is None:
-        return np.repeat(outer, inner_n)
+    ``inner_n`` rows, ``outer`` outermost; an int stands for one shared
+    class."""
+    if isinstance(outer, int):
+        return outer + inner if isinstance(inner, int) else np.tile(inner + outer, outer_n)
+    if isinstance(inner, int):
+        return np.repeat(outer + inner, inner_n)
     return (outer[:, None] + inner[None, :]).ravel()
 
 
@@ -152,8 +179,7 @@ def _segments(picked, cols, dtype):
     while it fits in a block; the next vertex out (the boundary) gives the
     heads, a slice at a time, each plus one prefix column of the vertices
     further out. A piece of one vertex has one head, None, the zero map.
-    Head classes are an int when the slice's heads share one;
-    raw classes are None when all 0.
+    Raw classes are an int where they are all equal.
     """
     n_states = picked[0][0].shape[0]
     b = len(picked) - 1
@@ -170,20 +196,22 @@ def _segments(picked, cols, dtype):
         inner = (r[:, :, None] + inner[:, None, :]).reshape(n_states, -1)
     if inner.shape[1] > cols:  # one vertex has more rows than a block holds
         b += 1
-        inner, inner_raw = np.zeros((n_states, 1), dtype=dtype), None
+        inner, inner_raw = np.zeros((n_states, 1), dtype=dtype), 0
     boundary, boundary_raw = picked[b - 1]
     per_block = max(1, cols // inner.shape[1])
     for prefix_rows in itertools.product(*(range(r.shape[1]) for r, _ in picked[: b - 1])):
         prefix, prefix_raw = None, 0
         for (r, raw), t in zip(picked, prefix_rows):
             prefix = r[:, t : t + 1] if prefix is None else prefix + r[:, t : t + 1]
-            prefix_raw += 0 if raw is None else int(raw[t])
+            prefix_raw += raw if isinstance(raw, int) else int(raw[t])
         for start in range(0, boundary.shape[1], per_block):
             head = boundary[:, start : start + per_block]
             if prefix is not None:
                 head = head + prefix
             head_raw = prefix_raw
-            if boundary_raw is not None:
+            if isinstance(boundary_raw, int):
+                head_raw += boundary_raw
+            else:
                 raw = boundary_raw[start : start + per_block]
                 if (raw != raw[0]).any():
                     head_raw = raw + prefix_raw
@@ -205,7 +233,7 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
     buf = np.empty((n_states, cols), dtype=dtype)
     # raw classes only where some rows count unequally: else every class is 0
     raw_buf = np.zeros(cols, dtype=np.intp) if any(r is not None for r in digits) else None
-    pos = 0
+    pos, memo = 0, {}
 
     def block():
         m = buf if pos == cols else np.ascontiguousarray(buf[:, :pos])
@@ -215,7 +243,7 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
         return m, int(raw[0]) if (raw == raw[0]).all() else raw
 
     for piece in pieces:
-        picked = _piece_rows(rows, digits, steps, piece)
+        picked = _piece_rows(rows, digits, steps, piece, memo)
         for head, head_raw, inner, inner_raw in _segments([picked[v] for v in order], cols, dtype):
             h, i = 1 if head is None else head.shape[1], inner.shape[1]
             j = t = 0  # next head column, and next inner column of it
@@ -241,15 +269,14 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
                         buf[:, pos : pos + n] = inner[:, t : t + n]
                     else:
                         np.add(head[:, j : j + 1], inner[:, t : t + n], out=buf[:, pos : pos + n])
-                    ir = None if inner_raw is None else inner_raw[t : t + n]
+                    ir = inner_raw if isinstance(inner_raw, int) else inner_raw[t : t + n]
                 if raw_buf is not None:
                     hr = head_raw if isinstance(head_raw, int) else head_raw[j : j + take]
                     if flip:  # (inner, head) columns
-                        ir = None if ir is None else ir[:, None]
+                        ir = ir if isinstance(ir, int) else ir[:, None]
                     elif not isinstance(hr, int):  # (head, inner) columns
                         hr = hr[:, None]
-                    raw_buf[pos : pos + n].reshape(-1, take if flip else n // take)[...] = \
-                        hr if ir is None else hr + ir
+                    raw_buf[pos : pos + n].reshape(-1, take if flip else n // take)[...] = hr + ir
                 if whole:
                     j += take
                 else:
@@ -265,13 +292,20 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
 
 
 def _add(row, values, classes):
-    """Add to ``row`` the bin counts of ``values``, weighted by column class."""
+    """Add to ``row`` the bin counts of ``values``, weighted by column class
+    (each row of the class weights into its own row of ``row``).
+
+    ``classes`` is None, or (each column's class times the bins, the class
+    weights, a scratch column as long as a block).
+    """
     if classes is None:
         row += np.bincount(values, minlength=row.size)
     else:
-        offsets, weights = classes
-        binned = np.bincount(values + offsets, minlength=weights.size * row.size)
-        row += weights @ binned.reshape(weights.size, row.size)
+        offsets, weights, scratch = classes
+        n_bins = row.shape[-1]
+        binned = np.bincount(np.add(values, offsets, out=scratch[: values.size]),
+                             minlength=weights.shape[1] * n_bins)
+        row += weights @ binned.reshape(weights.shape[1], n_bins)
 
 
 def _count_bitsets(m, hist, classes):
@@ -285,6 +319,7 @@ def _count_bitsets(m, hist, classes):
     picked = np.empty_like(singletons)
     # a gather costs less than an iteration only for words wider than a byte
     drop_settled = singletons.itemsize > 1
+    alive = None  # once columns are dropped: the moving ones, by position in the block
     s = image
     while True:
         # picked[x] = {f(x)} if x in S else {}
@@ -298,15 +333,20 @@ def _count_bitsets(m, hist, classes):
             break
         if drop_settled and 4 * n_moving <= s.size:
             # a column that stayed put is done: count it, iterate on without it
-            _add(hist[1], np.bitwise_count(nxt[~moving]),
-                 None if classes is None else (classes[0][~moving], classes[1]))
+            if alive is None:  # each column's periodic rank, written as it settles
+                alive, periodic = np.arange(s.size), np.empty(s.size, dtype=np.uint8)
+            settled = ~moving
+            periodic[alive[settled]] = np.bitwise_count(nxt[settled])
+            alive = alive[moving]
             singletons = np.compress(moving, singletons, axis=1)
-            if classes is not None:
-                classes = (classes[0][moving], classes[1])
             picked = picked[:, :n_moving]
             nxt = nxt[moving]
         s = nxt
-    _add(hist[1], np.bitwise_count(s), classes)
+    if alive is None:
+        periodic = np.bitwise_count(s)
+    else:
+        periodic[alive] = np.bitwise_count(s)
+    _add(hist[1], periodic, classes)
 
 
 def _distinct_per_row(a):
@@ -329,7 +369,7 @@ def _count_sorted(m, hist, classes):
 
 
 def family_histograms(w: np.ndarray, counts, n_states: int,
-                      mult: list[np.ndarray] | None = None, factors=None
+                      mult: list[np.ndarray] | None = None, factors=None, flags=None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histograms (rank, periodic rank, fixed points) over a table product.
 
@@ -342,9 +382,12 @@ def family_histograms(w: np.ndarray, counts, n_states: int,
 
     ``mult[v]``, when given, holds an integer multiplicity for each row of
     ``w[v]``; a system counts the product of its rows' multiplicities and of
-    the weights of their runs.
+    the weights of their runs. ``flags[v]``, when given, marks each row of
+    ``w[v]`` 0 or 1, and each histogram runs on for n_states + 1 more bins:
+    those of the systems whose rows are all marked 1, from the same pass.
     """
     n = w.shape[0]
+    n_sets = 1 if flags is None else 2
     if factors is None:
         pieces = [[((0, int(c), 1),) for c in counts]]
     else:
@@ -360,9 +403,9 @@ def family_histograms(w: np.ndarray, counts, n_states: int,
                     piece[v] = runs
             pieces.append(piece)
     pieces = [piece for piece in pieces if all(runs[-1][1] > runs[0][0] for runs in piece)]
+    n_bins = n_states + 1
     if not pieces:
-        empty = np.zeros(n_states + 1, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
+        return tuple(np.zeros((3, n_sets * n_bins), dtype=np.int64))
     live = [max(piece[v][-1][1] for piece in pieces) for v in range(n)]
     dtype = _uint((n_states - 1).bit_length())
     # one table per column, state-major, so that a piece's rows are a view;
@@ -370,16 +413,20 @@ def family_histograms(w: np.ndarray, counts, n_states: int,
     # and broadcast adds over it run several times slower
     rows = [np.ascontiguousarray(w[v, : live[v]].T, dtype=dtype) for v in range(n)]
     cols = max(1, BLOCK_CELLS // n_states)
-    n_bins = n_states + 1
-    digits, steps, weights, remap = _weight_classes(live, mult, pieces, n_bins, cols)
-    # vertices whose rows count unequally outermost, then largest table list
-    order = sorted(range(n), key=lambda v: (digits[v] is None, -live[v]))
+    digits, steps, weights, remap, weighted = _weight_classes(
+        live, mult, flags, pieces, n_bins, cols)
+    # vertices whose rows differ in weight outermost, then largest table list
+    order = sorted(range(n), key=lambda v: (not weighted[v], -live[v]))
     tally = _uint(n_states.bit_length())
     states = np.arange(n_states, dtype=dtype)[:, None]
     count_sets = _count_bitsets if n_states <= 64 else _count_sorted
     # single-class blocks binned unweighted by class, scaled once at the end
     by_class: dict[int, np.ndarray] = {}
-    mixed = np.zeros((3, n_bins), dtype=np.int64)
+    mixed = np.zeros((3, n_sets, n_bins), dtype=np.int64)
+    # the class offsets and the binned indices of a mixed block, allocated
+    # once a call: block-sized temporaries, freed and taken again each
+    # block, cost the allocator fresh pages
+    scratch = np.empty((2, cols), dtype=np.intp)
     for m, cls in _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
         if isinstance(cls, int):
             hist = by_class.get(cls)
@@ -387,9 +434,11 @@ def family_histograms(w: np.ndarray, counts, n_states: int,
                 hist = by_class[cls] = np.zeros((3, n_bins), dtype=np.int64)
             classes = None
         else:
-            hist, classes = mixed, (cls * n_bins, weights)
+            hist = mixed
+            classes = (np.multiply(cls, n_bins, out=scratch[0, : cls.size]), weights, scratch[1])
         count_sets(m, hist, classes)
         fixed = np.add.reduce((m == states).view(np.uint8), axis=0, dtype=tally)
         _add(hist[2], fixed, classes)
-    hist = sum((int(weights[c]) * h for c, h in by_class.items()), mixed)
-    return hist[0], hist[1], hist[2]
+    hist = mixed + sum((h[:, None] * weights[:, c, None] for c, h in by_class.items()),
+                       np.int64(0))
+    return tuple(hist.reshape(3, n_sets * n_bins))

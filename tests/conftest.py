@@ -5,7 +5,7 @@ import pytest
 
 from fdsrank.bounds import entropy_report
 from fdsrank.digraph import Digraph
-from fdsrank.enumeration import _all_tables, _essential_selector, _table_counts
+from fdsrank.enumeration import _all_tables, _essential_selector, _strict_memo, _table_counts
 from fdsrank.fds import input_index
 
 
@@ -13,6 +13,13 @@ from fdsrank.fds import input_index
 def cold_entropy_cache():
     # a report cached by an earlier test would hide a solver the test patches
     entropy_report.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_strict_memo():
+    # strict histograms binned by an earlier test's loose sweep would answer
+    # a strict request past a kernel or table the test patches
+    _strict_memo.clear()
 
 
 def small_digraphs(n: int):

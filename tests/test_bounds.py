@@ -251,6 +251,23 @@ class TestFixBoundsReport:
             fix_bounds_report(d, 3, strict=True)
             assert sorted(calls) == ["clique_partition_number", "transversal_number"], d
 
+    def test_the_cycle_packing_number_is_computed_once(self, monkeypatch):
+        # the packing bounds, the ghost alphabet's report and the entropy pin
+        # read one nu of the graph; it is the core's too
+        calls = []
+
+        def counted(d, real=bounds.cycle_packing_number):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(bounds, "cycle_packing_number", counted)
+        for d in [fx.C2_LOOPED, fx.C3, fx.C3_LOOPED, fx.C5_SYM, fx.STAR3]:
+            for q, strict in [(2, False), (2, True), (3, True)]:
+                calls.clear()
+                bounds.entropy_report.cache_clear()
+                fix_bounds_report(d, q, strict=strict)
+                assert calls == [d], (d, q, strict)
+
     def test_the_core_pin_reads_the_graphs_ends(self):
         # peeling keeps tau and k - kappa: the pin from the graph's values is
         # the pin computed on the core, on every graph with n <= 3 and on

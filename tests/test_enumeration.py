@@ -525,7 +525,8 @@ def test_one_kernel_call_per_sweep(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     for d, q in CHAIN_FAMILIES + [(LOOPED_K3, 2), (DROP_LOOP_K3, 2), (fx.C3, 2)]:
-        for strict in (False, True):
+        # strict first: after the loose sweep, a strict request makes no call
+        for strict in (True, False):
             calls.clear()
             enumerate_stats(d, q, strict=strict)
             assert calls == Counter(family_histograms=1, _sweep_tensor=1), (d, q, strict)
@@ -687,7 +688,7 @@ class TestSweepPlan:
         # strict, and the split's 81,952 and 36,260 systems pack into 6 and 3
         rows, counts, factors = enumeration._sweep_plan(DROP_LOOP_K3, 2, strict, 8)
         plain = enumeration._kernel_blocks(
-            math.prod(codes.size for codes, _ in enumeration._chain_rows(DROP_LOOP_K3, 2, strict)),
+            math.prod(codes.size for codes, *_ in enumeration._chain_rows(DROP_LOOP_K3, 2, strict)),
             16384)
         packed = enumeration._kernel_blocks(math.prod(counts), 16384)
         assert factors is not None
@@ -851,3 +852,141 @@ class TestSweepProperties:
             for _ in range(q ** n):
                 power = m[power]
             assert periodic_rank(f) == np.unique(power).size
+
+
+# --- the strict family binned by the loose sweep ----------------------------------
+
+def strict_reports(d, q):
+    """The strict report read from the loose sweep, then swept on its own."""
+    enumerate_stats(d, q)
+    assert set(enumeration._strict_memo) == {(d, q)}
+    shared = enumerate_stats(d, q, strict=True)
+    enumeration._strict_memo.clear()
+    return shared.to_json_dict(), enumerate_stats(d, q, strict=True).to_json_dict()
+
+
+SHARED_FAMILIES = (
+    [(d, 2) for n in (1, 2, 3) for d in small_digraphs(n)]
+    + [(d, 3) for n in (1, 2, 3) for d in small_digraphs(n)
+       if family_size(d, 3, False) <= 2_000_000]
+    + [(d, 2) for d in itertools.islice(
+        (d for d in (blown_up_digraph(random.Random(seed), 4) for seed in itertools.count())
+         if any(len(c) > 1 for c in twin_classes(d)) and family_size(d, 2, False) <= 4_000_000),
+        12)]
+)
+
+
+def test_the_shared_strict_report_is_the_standalone_one():
+    # every family with n <= 3 at q=2, those within 2M at q=3, and random
+    # 4-vertex twin families
+    for d, q in SHARED_FAMILIES:
+        shared, alone = strict_reports(d, q)
+        assert shared == alone, (sorted(d.arcs), q)
+
+
+# plain, chain and twin-split plans
+PLANNED_FAMILIES = ([(fx.C3, 2), (Digraph(2, [(1, 2), (2, 2)]), 3)]
+                    + CHAIN_FAMILIES + TWIN_FAMILIES[:4])
+
+
+@pytest.mark.parametrize("d,q", PLANNED_FAMILIES,
+                         ids=[f"{q}^{d.n}-{d.m}" for d, q in PLANNED_FAMILIES])
+def test_the_shared_strict_report_is_the_unreduced_sweep(d, q):
+    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, True), q ** d.n))
+    shared, _alone = strict_reports(d, q)
+    for name, hist in zip(("rank", "periodic_rank", "fixed_points"), unreduced):
+        assert shared[name]["histogram"] == {str(v): int(c) for v, c in enumerate(hist) if c}
+
+
+def test_the_split_shares_its_strict_family_on_random_twin_families():
+    for d, q in RANDOM_TWIN_FAMILIES:
+        if family_size(d, q, True) == 0:
+            continue
+        unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, True), q ** d.n))
+        shared, alone = strict_reports(d, q)
+        assert shared == alone, (d.arcs, q)
+        assert shared["rank"]["histogram"] == {
+            str(v): int(c) for v, c in enumerate(unreduced[0]) if c}, (d.arcs, q)
+
+
+def refusal(d, q, **limits):
+    with pytest.raises(SizeLimitExceeded) as err:
+        enumerate_stats(d, q, strict=True, **limits)
+    return str(err.value), err.value.projected
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_funcs": family_size(LOOPED_K3, 2, True) - 1},
+    {"max_funcs": 0},
+    {"max_states": 7},
+], ids=["funcs", "no-funcs", "states"])
+def test_a_shared_strict_request_is_refused_as_a_standalone_one(limits):
+    alone = refusal(LOOPED_K3, 2, **limits)
+    enumerate_stats(LOOPED_K3, 2)
+    assert (LOOPED_K3, 2) in enumeration._strict_memo
+    assert refusal(LOOPED_K3, 2, **limits) == alone
+
+
+def test_a_shared_strict_request_meets_the_byte_guard(monkeypatch):
+    d, q = Digraph(2, [(1, 1), (1, 2), (2, 1)]), 3
+    enumerate_stats(d, q)
+    monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", 1000)
+    shared = refusal(d, q)
+    enumeration._strict_memo.clear()
+    assert refusal(d, q) == shared
+
+
+def test_the_memo_holds_one_graph_at_one_alphabet(monkeypatch):
+    calls = []
+    real = kernels.family_histograms
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "family_histograms", counted)
+    runs = {
+        "loose then strict": [(fx.C3, 2, False), (fx.C3, 2, True)],
+        "strict then loose": [(fx.C3, 2, True), (fx.C3, 2, False)],
+        "another graph": [(fx.C3, 2, False), (fx.K3, 2, True)],
+        "another alphabet": [(fx.C3, 3, False), (fx.C3, 2, True)],
+        "a later loose sweep": [(fx.C3, 2, False), (fx.K3, 2, False), (fx.C3, 2, True)],
+    }
+    made = {}
+    for name, run in runs.items():
+        enumeration._strict_memo.clear()
+        calls.clear()
+        for d, q, strict in run:
+            enumerate_stats(d, q, strict=strict)
+        made[name] = len(calls)
+    assert made == {"loose then strict": 1, "strict then loose": 2, "another graph": 2,
+                    "another alphabet": 2, "a later loose sweep": 3}
+
+
+@pytest.mark.parametrize("d,q,vertices", [
+    (fx.C3_LOOPED, 2, range(3)),
+    (CHAIN_FAMILIES[0][0], 3, [1, 2]),  # vertex 1 reads nothing: every table is essential
+    # a twin split sweeps each key multiset in one order, so a non-essential
+    # key at a later twin may only meet other non-essential keys there: the
+    # first twin, vertex 2, meets every key ranked after its own
+    (LOOPED_K3, 2, [1]),
+], ids=["plain", "chain", "split"])
+def test_a_wrong_flag_is_caught(monkeypatch, d, q, vertices):
+    # one inessential row flagged essential: the loose family is unchanged,
+    # the strict one gains systems
+    real = enumeration._chain_rows
+    loose = enumerate_stats(d, q).to_json_dict()
+    for v in vertices:
+        def one_wrong(*args, v=v):
+            rows = list(real(*args))
+            codes, sizes, flags = rows[v]
+            flags = flags.copy()  # the cached flags stay intact
+            flags[np.flatnonzero(~flags)[0]] = True
+            rows[v] = codes, sizes, flags
+            return rows
+
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_chain_rows", one_wrong)
+            assert enumerate_stats(d, q).to_json_dict() == loose
+            with pytest.raises(IntegrityError, match="family has"):
+                enumerate_stats(d, q, strict=True)

@@ -208,3 +208,21 @@ def test_kernels_bin_in_integers():
             if len(node.args) > 1 or any(kw.arg == "weights" for kw in node.keywords):
                 found.append(node.lineno)
     assert found == []
+
+
+def test_a_strict_request_is_priced_before_the_memo_is_read():
+    # the strict histograms a loose sweep binned are read only inside
+    # enumerate_stats, after price_family: a memo hit keeps every refusal
+    # with its message and projected size
+    tree = ast.parse((SRC / "enumeration.py").read_text(encoding="utf-8"))
+    owner = {node: getattr(top, "name", "<module>")
+             for top in tree.body for node in ast.walk(top)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_strict_memo"]
+    assert {owner[node] for node in reads} == {"<module>", "enumerate_stats"}
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "enumerate_stats")
+    priced = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "price_family"]
+    memo = [node.lineno for node in reads if owner[node] == "enumerate_stats"]
+    assert len(priced) == 1 and priced[0] < min(memo)
