@@ -21,9 +21,10 @@ import numpy as np
 from . import ratlp
 from .constructions import loopfull_maxfix
 from .digraph import Digraph, structure_stats, weak_components
-from .errors import InconsistentBounds, IntegrityError, SizeLimitExceeded
+from .errors import InconsistentBounds, IntegrityError, SizeLimitExceeded, memo
 from .fds import digits
 from .invariants import (
+    EXACT_VERTEX_CAP,
     clique_partition_number,
     cycle_packing_number,
     transversal_number,
@@ -133,23 +134,19 @@ def _source_core(d: Digraph) -> tuple[Digraph | None, tuple[int, ...]]:
     return Digraph(len(pos), arcs), tuple(sorted(peeled))
 
 
-def _integer_pin(core: Digraph, tau: int | None = None,
-                 clique_end: int | None = None, nu: int | None = None) -> int | None:
+def _integer_pin(g: Digraph) -> int | None:
     """tau when max(nu, k - kappa) reaches it, else None.
 
-    ``tau``, ``clique_end`` (k - kappa) and ``nu``, when given, are the
-    core's values already computed; the others are computed here. An
-    invariant refused by its own guard leaves its end out. nu enumerates
-    every cycle (up to 100,000 of them on dense cores), so unless given it
-    runs only when tau and k - kappa have not met already.
+    ``g`` is a source-peeled core or a graph with the same ends (see
+    :func:`entropy_report`). An invariant refused by its own guard leaves
+    its end out. nu enumerates every cycle (up to 100,000 of them on dense
+    cores), so it is asked for only when tau and k - kappa have not met.
     """
     try:
-        high = transversal_number(core) if tau is None else tau
+        high = transversal_number(g)
     except SizeLimitExceeded:
         return None
-    for low in (lambda: core.n - clique_partition_number(core) if clique_end is None
-                else clique_end,
-                lambda: cycle_packing_number(core) if nu is None else nu):
+    for low in (lambda: g.n - clique_partition_number(g), lambda: cycle_packing_number(g)):
         try:
             if low() == high:
                 return high
@@ -274,9 +271,8 @@ def _entropy_lp(d: Digraph) -> Fraction:
     return program if isinstance(program, Fraction) else _solve_dual(program)
 
 
-@lru_cache(maxsize=1024)
-def entropy_report(d: Digraph, tau: int | None = None,
-                   clique_end: int | None = None, nu: int | None = None) -> EntropyReport:
+@memo(maxsize=1024)
+def entropy_report(d: Digraph) -> EntropyReport:
     """Optimal value of the shared-entropy program bounding log_q of max fixed points.
 
     Vertices with no in-arcs force their coordinate in every fixed point, so
@@ -318,18 +314,20 @@ def entropy_report(d: Digraph, tau: int | None = None,
     skips the join classes; if its ends do not meet it raises
     ``SizeLimitExceeded``, as does a program whose optimum is not certified.
 
-    ``tau``, ``clique_end`` (n - kappa) and ``nu``, when given, are those
-    of ``d`` itself, which the caller has already computed. They are the
-    core's too: peeling removes vertices on no cycle, so tau and nu stay,
-    and in no clique of two or more, since a peeled vertex has no in-arc
-    from any vertex peeled after it or left in the core, so each was a
-    clique of its own and k - kappa stays.
+    The pin reads the memoized tau, kappa and nu of ``d`` itself, which the
+    bounds report reads too. They are the core's too: peeling removes
+    vertices on no cycle, so tau and nu stay, and in no clique of two or
+    more, since a peeled vertex has no in-arc from any vertex peeled after
+    it or left in the core, so each was a clique of its own and n - kappa
+    of ``d`` is k - kappa. Only a graph past ``EXACT_VERTEX_CAP``, whose
+    invariants are refused, reads its core's.
     """
     core, peeled = _source_core(d)
     if core is None:
         return EntropyReport(Fraction(0), peeled, "peeled-empty")
+    ends = d if d.n <= EXACT_VERTEX_CAP else core
     if core.n > ENTROPY_VERTEX_CAP:
-        pin = _integer_pin(core, tau, clique_end, nu)
+        pin = _integer_pin(ends)
         if pin is None:
             raise SizeLimitExceeded(
                 f"entropy program capped at {ENTROPY_VERTEX_CAP} core vertices, "
@@ -341,7 +339,7 @@ def entropy_report(d: Digraph, tau: int | None = None,
     full_root = root[-1]  # the full mask is the last
     if full_root in const:
         return EntropyReport(const[full_root], peeled, "pinned")
-    pin = _integer_pin(core, tau, clique_end, nu)
+    pin = _integer_pin(ends)
     value = _solve_dual(_entropy_program(core)) if pin is None else Fraction(pin)
     return EntropyReport(value, peeled, "exact-dual")
 
@@ -377,7 +375,6 @@ class BoundsReport:
     provenance: dict[str, str] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
     entropy_exponent: object = None
-    entropy: EntropyReport | None = None  # the report behind the exponent
     best_upper: int = 0
     best_lower: int = 0
     consistent: bool = True
@@ -400,36 +397,13 @@ class BoundsReport:
         }
 
 
-def _refusable(invariant, d: Digraph):
-    """``invariant(d)``, or the ``SizeLimitExceeded`` its guard raised."""
-    try:
-        return invariant(d)
-    except SizeLimitExceeded as exc:
-        return exc
-
-
-def _answer(value):
-    """A value from :func:`_refusable`, raising its refusal again."""
-    if isinstance(value, SizeLimitExceeded):
-        raise value
-    return value
-
-
 def fix_bounds_report(d: Digraph, q: int, strict: bool = False) -> BoundsReport:
     """Every applicable fixed-point bound for the family, with a consistency verdict.
 
-    The cycle packing number is computed here with tau and kappa, since
-    every report reads it: the packing bound, the packing-plus-one bound,
-    or the ghost alphabet's packing bound.
+    tau, kappa and nu are memoized per graph: the feedback, clique cover
+    and packing bounds, the entropy pin and the ghost alphabet's report
+    read one computation of each, refusals included.
     """
-    return _fix_bounds(d, q, strict, *(_refusable(invariant, d) for invariant in (
-        transversal_number, clique_partition_number, cycle_packing_number)))
-
-
-def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa, nu) -> BoundsReport:
-    """:func:`fix_bounds_report`, given the transversal, clique partition
-    and cycle packing numbers of ``d`` (or their refusals), each computed
-    once and shared with the entropy pin and the ghost alphabet."""
     report = BoundsReport(target="max_fixed_points", strict=strict, q=q)
     stats = structure_stats(d)
 
@@ -452,15 +426,12 @@ def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa, nu) -> BoundsRepor
     attempt(
         "feedback",
         "upper",
-        lambda: q ** _answer(tau),
+        lambda: q ** transversal_number(d),
         "fixed points are determined by their values on a feedback vertex set",
     )
 
     def entropy_bound():
-        known_tau, known_nu = (None if isinstance(x, SizeLimitExceeded) else x for x in (tau, nu))
-        clique_end = None if isinstance(kappa, SizeLimitExceeded) else d.n - kappa
-        rep = entropy_report(d, known_tau, clique_end, known_nu)
-        report.entropy = rep
+        rep = entropy_report(d)
         report.entropy_exponent = rep.value
         return _floor_power(q, rep.value)
 
@@ -484,27 +455,27 @@ def _fix_bounds(d: Digraph, q: int, strict: bool, tau, kappa, nu) -> BoundsRepor
             attempt(
                 "ghost",
                 "lower",
-                lambda: _fix_bounds(d, q - 1, False, tau, kappa, nu).best_lower,
+                lambda: fix_bounds_report(d, q - 1).best_lower,
                 "padding letters never used by a smaller-alphabet witness",
             )
         if q == 2:
             attempt(
                 "packing_plus_one",
                 "lower",
-                lambda: _answer(nu) + 1,
+                lambda: cycle_packing_number(d) + 1,
                 "threshold states over a maximum cycle packing",
             )
     else:
         attempt(
             "clique_cover",
             "lower",
-            lambda: q ** (d.n - _answer(kappa)),
+            lambda: q ** (d.n - clique_partition_number(d)),
             "modular-sum witness on each clique of a minimum partition",
         )
         attempt(
             "packing",
             "lower",
-            lambda: q ** _answer(nu),
+            lambda: q ** cycle_packing_number(d),
             "independent shift witnesses on a maximum cycle packing",
         )
         attempt(

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .digraph import Digraph, format_digraph, weak_components
 from .errors import IntegrityError, SizeLimitExceeded
@@ -31,13 +33,42 @@ class CanonicalGraph:
     """Sources feed sinks; ids are 1..|A| for sources, |A|+1..|A|+|B| for sinks.
 
     ``provenance`` maps each canonical id back to ``(original_vertex, copy)``
-    where copy 0 is the source side and copy 1 the sink side.
+    where copy 0 is the source side and copy 1 the sink side. It is
+    read-only, since :func:`canonicalize` shares one instance per graph, and
+    so are the cached properties: the weak components (``pieces``) and each
+    piece's bounds, which the capped functions below multiply or add.
     """
 
     sources: tuple[int, ...]
     sinks: tuple[int, ...]
     arcs: frozenset[tuple[int, int]]
-    provenance: dict[int, tuple[int, int]]
+    provenance: MappingProxyType[int, tuple[int, int]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+
+    @cached_property
+    def pieces(self) -> tuple[CanonicalGraph, ...]:
+        """The weak components, each renumbered; a connected graph is its own
+        one piece, and an empty graph has none."""
+        comps = [] if self.is_empty() else weak_components(self.as_digraph())
+        return (self,) if len(comps) == 1 else tuple(_sub_canonical(self, set(v)) for v in comps)
+
+    @cached_property
+    def _chain(self) -> int:
+        return _chain_length(_sink_masks(self))
+
+    @cached_property
+    def _independent_sets(self) -> int:
+        return _count_independent_sets(frozenset(self.sinks), _conflict_adjacency(self), {})
+
+    @cached_property
+    def _product(self) -> int:
+        return _product_bound_component(_sink_masks(self))
+
+    @cached_property
+    def _conjunctive_rank(self) -> int:
+        return _conjunctive_piece_rank(self)
 
     def sink_inputs(self) -> dict[int, frozenset[int]]:
         ins: dict[int, set[int]] = {b: set() for b in self.sinks}
@@ -53,8 +84,12 @@ class CanonicalGraph:
         return not self.sources and not self.sinks
 
 
+@lru_cache(maxsize=1024)
 def canonicalize(d: Digraph) -> CanonicalGraph:
-    """Source/sink double of ``d`` with redundant vertices stripped to a fixpoint."""
+    """Source/sink double of ``d`` with redundant vertices stripped to a fixpoint.
+
+    Memoized per graph: every bound on ``d`` reads one canonical graph.
+    """
     ins = d.in_map()
     sink_in = {v: frozenset(ins[v]) for v in d.vertices()}
     alive = set(d.vertices())
@@ -158,14 +193,17 @@ def _count_independent_sets(vertices: frozenset[int], adj, memo) -> int:
 
 
 def independent_set_bound(c: CanonicalGraph) -> int:
-    """Number of independent sets (empty set included) of the sink conflict graph."""
+    """Number of independent sets (empty set included) of the sink conflict graph.
+
+    Sinks in different weak components never conflict, so the counts of
+    the components multiply.
+    """
     if len(c.sinks) > INDEPENDENT_SET_SINK_CAP:
         raise SizeLimitExceeded(
             f"independent-set count capped at {INDEPENDENT_SET_SINK_CAP} sinks",
             projected=len(c.sinks),
         )
-    adj = _conflict_adjacency(c)
-    return _count_independent_sets(frozenset(c.sinks), adj, {})
+    return math.prod(p._independent_sets for p in c.pieces)
 
 
 def _sink_masks(c: CanonicalGraph) -> list[int]:
@@ -177,9 +215,9 @@ def _sink_masks(c: CanonicalGraph) -> list[int]:
 
 def _capped_pieces(
     c: CanonicalGraph, what: str, cap: int, side: str = "sinks"
-) -> list[CanonicalGraph]:
+) -> tuple[CanonicalGraph, ...]:
     """The pieces of ``c``, refused when one has more than ``cap`` sinks (or sources)."""
-    pieces = _pieces(c)
+    pieces = c.pieces
     widest = max((len(getattr(p, side)) for p in pieces), default=0)
     if widest > cap:
         raise SizeLimitExceeded(f"{what} capped at {cap} {side} per component", projected=widest)
@@ -193,7 +231,7 @@ def chain_bound(c: CanonicalGraph) -> int:
     sequences of the components add up.
     """
     pieces = _capped_pieces(c, "chain bound", CHAIN_BOUND_SINK_CAP)
-    return 1 + sum(_chain_length(_sink_masks(p)) for p in pieces)
+    return 1 + sum(p._chain for p in pieces)
 
 
 def _chain_length(nin: list[int]) -> int:
@@ -224,7 +262,7 @@ def product_bound(c: CanonicalGraph) -> int:
     components have disjoint in-neighborhoods.
     """
     pieces = _capped_pieces(c, "product bound", PRODUCT_BOUND_SINK_CAP)
-    return math.prod(_product_bound_component(_sink_masks(p)) for p in pieces)
+    return math.prod(p._product for p in pieces)
 
 
 def _product_bound_component(nin: list[int]) -> int:
@@ -366,25 +404,16 @@ class MinrankBounds:
     exact: bool
 
 
-def conjunctive_rank_of_canonical(c: CanonicalGraph, piece_ranks=None) -> int:
+def conjunctive_rank_of_canonical(c: CanonicalGraph) -> int:
     """Rank of the all-AND network on a canonical graph, component by component.
 
     Sources output constant 1; each sink outputs the conjunction of its
     sources, so the rank is the number of distinct sink-indicator patterns,
     multiplied over weak components. A component with more than
-    ``CONJUNCTIVE_SOURCE_CAP`` sources is refused. ``piece_ranks``, when
-    given, holds each component's rank from :func:`conjunctive_piece_ranks`.
+    ``CONJUNCTIVE_SOURCE_CAP`` sources is refused.
     """
     pieces = _capped_pieces(c, "conjunctive rank", CONJUNCTIVE_SOURCE_CAP, "sources")
-    return math.prod(_conjunctive_piece_rank(p) for p in pieces) if piece_ranks is None \
-        else math.prod(piece_ranks)
-
-
-def conjunctive_piece_ranks(c: CanonicalGraph) -> list[int | None]:
-    """Each weak component's conjunctive rank, None where it has more than
-    ``CONJUNCTIVE_SOURCE_CAP`` sources."""
-    return [_conjunctive_piece_rank(p) if len(p.sources) <= CONJUNCTIVE_SOURCE_CAP else None
-            for p in _pieces(c)]
+    return math.prod(p._conjunctive_rank for p in pieces)
 
 
 def _conjunctive_piece_rank(p: CanonicalGraph) -> int:
@@ -414,23 +443,10 @@ def absolute_minrank_bounds(d: Digraph) -> MinrankBounds:
     """
     c = canonicalize(d)
     try:
-        product = product_bound(c)
+        lower = product_bound(c)
     except SizeLimitExceeded:
-        product = None
-    return minrank_bracket(d, c, product)
-
-
-def minrank_bracket(d: Digraph, c: CanonicalGraph, product: int | None,
-                    piece_ranks: list[int | None] | None = None) -> MinrankBounds:
-    """:func:`absolute_minrank_bounds` from the canonical graph ``c`` of ``d``
-    and its product bound, None where that bound was refused.
-
-    ``piece_ranks``, when given, holds :func:`conjunctive_piece_ranks` of ``c``.
-    """
-    lower = chain_bound(c) if product is None else product
-    if piece_ranks is None:
-        piece_ranks = conjunctive_piece_ranks(c)
-    upper = math.prod(_piece_upper(p, rank) for p, rank in zip(_pieces(c), piece_ranks))
+        lower = chain_bound(c)
+    upper = math.prod(_piece_upper(p) for p in c.pieces)
     return MinrankBounds(
         lower=lower,
         upper=upper,
@@ -439,18 +455,11 @@ def minrank_bracket(d: Digraph, c: CanonicalGraph, product: int | None,
     )
 
 
-def _piece_upper(p: CanonicalGraph, rank: int | None) -> int:
-    """Least of a piece's independent-set count and, unless refused (None),
-    its conjunctive rank."""
+def _piece_upper(p: CanonicalGraph) -> int:
+    """Least of a piece's independent-set count and, within
+    ``CONJUNCTIVE_SOURCE_CAP`` sources, its conjunctive rank."""
     count = independent_set_bound(p)
-    return count if rank is None else min(rank, count)
-
-
-def _pieces(c: CanonicalGraph) -> list[CanonicalGraph]:
-    """The weak components of ``c``, each renumbered; an empty graph has none."""
-    if c.is_empty():
-        return []
-    return [_sub_canonical(c, set(comp)) for comp in weak_components(c.as_digraph())]
+    return count if len(p.sources) > CONJUNCTIVE_SOURCE_CAP else min(p._conjunctive_rank, count)
 
 
 def _sub_canonical(c: CanonicalGraph, keep: set[int]) -> CanonicalGraph:

@@ -17,12 +17,11 @@ from functools import lru_cache
 from . import fixtures
 from .bounds import entropy_report, fix_bounds_report
 from .canonical import (
+    absolute_minrank_bounds,
     canonicalize,
     chain_bound,
-    conjunctive_piece_ranks,
     format_canonical,
     independent_set_bound,
-    minrank_bracket,
     minrank_classify,
     product_bound,
     tightness_classify,
@@ -102,28 +101,22 @@ def cmd_analyze(args) -> int:
             "sinks": list(st.sink_list),
         }
 
-    # the canonical and minrank sections share one canonical graph and one
-    # product bound, the costliest step of both
-    c = canonicalize(d)
-    product = _entry(product_bound, c)
-    # the conjunctive rank section and the minrank upper bound share it
-    piece_ranks = conjunctive_piece_ranks(c)
-
     def canonical_summary():
         # each bound answers or is skipped on its own; tight needs L and U
+        c = canonicalize(d)
         lower, upper = _entry(chain_bound, c), _entry(independent_set_bound, c)
         refused = [b for b in (lower, upper) if isinstance(b, dict)]
         return {
             "A_size": len(c.sources),
             "B_size": len(c.sinks),
             "L": lower,
-            "Lp": product,
+            "Lp": _entry(product_bound, c),
             "U": upper,
             "tight": refused[0] if refused else tightness_classify(c).tight,
         }
 
     def minrank_section():
-        b = minrank_bracket(d, c, None if isinstance(product, dict) else product, piece_ranks)
+        b = absolute_minrank_bounds(d)
         return {
             "classification": minrank_classify(d),
             "lower": b.lower,
@@ -150,8 +143,7 @@ def cmd_analyze(args) -> int:
 
     doc["structure"] = _section(structure)
     doc["canonical"] = _section(canonical_summary)
-    doc["conjunctive_rank"] = _section(
-        lambda: {"value": conjunctive_rank(d, args.max_states, piece_ranks)})
+    doc["conjunctive_rank"] = _section(lambda: {"value": conjunctive_rank(d, args.max_states)})
     doc["minrank"] = _section(minrank_section)
     doc["fixed_point_bounds"] = _section(
         lambda: fix_bounds_report(d, q, strict=args.strict).to_json_dict()
@@ -186,8 +178,7 @@ def cmd_bounds(args) -> int:
     doc = report.to_json_dict()
 
     def entropy_detail():
-        # a refused report is asked for again, to raise its refusal
-        rep = report.entropy or entropy_report(d)
+        rep = entropy_report(d)  # memoized, refusal included
         return {
             "value": str(rep.value),
             "exact": True,

@@ -22,16 +22,13 @@ def conjunctive(d: Digraph) -> Fds:
     return make_fds(d.n, 2, inputs, [digits(2, len(i)).all(1) for i in inputs])
 
 
-def conjunctive_rank(d: Digraph, max_states: int = DEFAULT_MAX_STATES,
-                     piece_ranks: list[int | None] | None = None) -> int:
+def conjunctive_rank(d: Digraph, max_states: int = DEFAULT_MAX_STATES) -> int:
     """Rank of the AND network, computed on the canonical reduction.
 
-    ``piece_ranks``, when given, holds ``canonical.conjunctive_piece_ranks``
-    of the canonical graph, already computed. Cross-checked against the
-    direct whole-space evaluation whenever the state space permits it.
+    Cross-checked against the direct whole-space evaluation whenever the
+    state space permits it.
     """
-    c = canonicalize(d)
-    value = conjunctive_rank_of_canonical(c, piece_ranks)
+    value = conjunctive_rank_of_canonical(canonicalize(d))
     if 2 ** d.n <= max_states:
         direct = fds_rank(conjunctive(d), max_states)
         if direct != value:

@@ -429,7 +429,7 @@ def price_family(
     return family_size(d, q, strict), n_states
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2048)
 def _chain_groups(
     d: Digraph, q: int, strict: bool
 ) -> tuple[tuple[tuple[int | None, bool], ...], ...]:
@@ -437,8 +437,8 @@ def _chain_groups(
 
     Vertices are taken most tables first, lowest index on ties; each claims
     the coordinates of itself and its inputs that no earlier vertex claimed,
-    as :func:`_table_orbits` reads them. Cached: the guard and the sweep of
-    one family both read them.
+    as :func:`_table_orbits` reads them. Cached, with room for the 1,310
+    families a ``verify`` run sweeps: its guard and its sweep read them.
     """
     counts = _table_counts(d, q, strict)
     ins = d.in_map()

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memo that keeps refusals."""
+
+from functools import lru_cache, wraps
 
 # a projected size is exact below 2^PROJECTED_BITS; above, its log2 stands in
 # for it, so that a refusal prints and serializes in bounded time and space
@@ -26,6 +28,31 @@ class SizeLimitExceeded(FdsrankError):
     def __init__(self, message, projected=None):
         super().__init__(message)
         self.projected = projected
+
+
+def memo(maxsize: int):
+    """``lru_cache`` that keeps a guard's refusal too: a call refused once
+    raises an equal ``SizeLimitExceeded`` (same message, same ``projected``)
+    again without recomputing. ``__wrapped__`` is the uncached function."""
+    def decorate(fn):
+        @lru_cache(maxsize=maxsize)
+        def outcome(*args):
+            try:
+                return fn(*args), None
+            except SizeLimitExceeded as exc:
+                return None, (str(exc), exc.projected)
+
+        @wraps(fn)
+        def cached(*args):
+            value, refusal = outcome(*args)
+            if refusal is not None:
+                raise SizeLimitExceeded(*refusal)
+            return value
+
+        cached.cache_info, cached.cache_clear = outcome.cache_info, outcome.cache_clear
+        cached.cache_parameters = outcome.cache_parameters
+        return cached
+    return decorate
 
 
 class GraphFormatError(FdsrankError):

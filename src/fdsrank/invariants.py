@@ -2,7 +2,8 @@
 
 Everything here is exact. The NP-hard invariants (feedback vertex set,
 cycle packing, clique partition) run branch-and-bound searches guarded by
-``EXACT_VERTEX_CAP`` and refuse, rather than approximate, beyond it.
+``EXACT_VERTEX_CAP`` and refuse, rather than approximate, beyond it; each
+is memoized per graph, refusals included, so every bound reads one answer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import ratlp
 from .digraph import Digraph, cycle_avoiding, is_primitive, is_strongly_connected
-from .errors import LoopsPresent, NotStronglyConnected, SizeLimitExceeded
+from .errors import LoopsPresent, NotStronglyConnected, SizeLimitExceeded, memo
 
 EXACT_VERTEX_CAP = 24
 MAX_ENUMERATED_CYCLES = 100_000
@@ -56,6 +57,7 @@ def simple_cycles(d: Digraph) -> list[tuple[int, ...]]:
     return cycles
 
 
+@memo(maxsize=1024)
 def transversal_number(d: Digraph) -> int:
     """Minimum feedback vertex set size, by branch and bound on shortest cycles."""
     _check_cap(d, "transversal number")
@@ -91,6 +93,7 @@ def _minimal_cycle_masks(d: Digraph) -> list[int]:
     return out
 
 
+@memo(maxsize=1024)
 def cycle_packing_number(d: Digraph) -> int:
     """Maximum number of pairwise vertex-disjoint cycles, exact."""
     _check_cap(d, "cycle packing number")
@@ -180,6 +183,7 @@ def maximal_cliques(d: Digraph) -> list[int]:
     return sorted(out)
 
 
+@memo(maxsize=1024)
 def clique_partition_number(d: Digraph) -> int:
     """Minimum number of cliques partitioning V; a clique needs both arcs per pair."""
     _check_cap(d, "clique partition number")

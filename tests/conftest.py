@@ -1,24 +1,26 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from fdsrank.bounds import entropy_report
+import fdsrank
 from fdsrank.digraph import Digraph
 from fdsrank.enumeration import _all_tables, _essential_selector, _strict_memo, _table_counts
 from fdsrank.fds import input_index
 
 
 @pytest.fixture(autouse=True)
-def cold_entropy_cache():
-    # a report cached by an earlier test would hide a solver the test patches
-    entropy_report.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def cold_strict_memo():
-    # strict histograms binned by an earlier test's loose sweep would answer
-    # a strict request past a kernel or table the test patches
+def cold_memos():
+    # a value memoized by an earlier test would hide an invariant, a solver,
+    # a kernel or a table the test patches: every lru_cache of the package
+    # (found by its cache_clear) and the strict histograms an earlier loose
+    # sweep binned start empty
+    for name, module in list(sys.modules.items()):
+        if name == fdsrank.__name__ or name.startswith(fdsrank.__name__ + "."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
     _strict_memo.clear()
 
 

@@ -235,41 +235,44 @@ class TestFixBoundsReport:
         assert rep.upper["entropy"] == 5  # floor(2^(5/2))
         assert rep.best_lower == 4
 
-    def test_transversal_and_clique_numbers_are_computed_once(self, monkeypatch):
+    def test_transversal_and_clique_numbers_are_computed_once(self):
         # strict at q=3 runs the ghost alphabet's loose report too; both, and
-        # the entropy pin, read the graph's tau and kappa
-        calls = []
-        for name in ("transversal_number", "clique_partition_number"):
-            def counted(d, real=getattr(bounds, name), name=name):
-                calls.append(name)
-                return real(d)
-
-            monkeypatch.setattr(bounds, name, counted)
-        for d in [fx.C5_SYM, fx.K3, fx.FIG1, Digraph(4, [(1, 2), (2, 3), (3, 2), (3, 4), (4, 3)])]:
-            calls.clear()
-            bounds.entropy_report.cache_clear()
+        # the entropy pin, read the graph's memoized tau and kappa
+        graphs = [fx.C5_SYM, fx.K3, fx.FIG1, Digraph(4, [(1, 2), (2, 3), (3, 2), (3, 4), (4, 3)])]
+        for d in graphs:
             fix_bounds_report(d, 3, strict=True)
-            assert sorted(calls) == ["clique_partition_number", "transversal_number"], d
+        for invariant in (transversal_number, clique_partition_number):
+            assert invariant.cache_info().misses == len(graphs), invariant.__name__
 
-    def test_the_cycle_packing_number_is_computed_once(self, monkeypatch):
+    def test_the_cycle_packing_number_is_computed_once(self):
         # the packing bounds, the ghost alphabet's report and the entropy pin
-        # read one nu of the graph; it is the core's too
-        calls = []
-
-        def counted(d, real=bounds.cycle_packing_number):
-            calls.append(d)
-            return real(d)
-
-        monkeypatch.setattr(bounds, "cycle_packing_number", counted)
-        for d in [fx.C2_LOOPED, fx.C3, fx.C3_LOOPED, fx.C5_SYM, fx.STAR3]:
+        # read one memoized nu of the graph, at every alphabet; it is the core's too
+        graphs = [fx.C2_LOOPED, fx.C3, fx.C3_LOOPED, fx.C5_SYM, fx.STAR3]
+        for d in graphs:
             for q, strict in [(2, False), (2, True), (3, True)]:
-                calls.clear()
-                bounds.entropy_report.cache_clear()
                 fix_bounds_report(d, q, strict=strict)
-                assert calls == [d], (d, q, strict)
+        assert cycle_packing_number.cache_info().misses == len(graphs)
+
+    def test_the_memo_agrees_with_the_uncached_report(self):
+        # a first call fills the memo and a second reads it, refusals
+        # included: the symmetric 11-cycle's core is past the cap, and its
+        # integer ends do not meet
+        def outcome(report, d):
+            try:
+                rep = report(d)
+                return rep.value, rep.peeled, rep.method
+            except SizeLimitExceeded as exc:
+                return "refused", str(exc), exc.projected
+
+        graphs = [d for n in (1, 2, 3) for d in small_digraphs(n)]
+        graphs += list(fx.CATALOG.values()) + [fx.symmetric_cycle(11)]
+        for d in graphs:
+            uncached = outcome(entropy_report.__wrapped__, d)
+            assert outcome(entropy_report, d) == outcome(entropy_report, d) == uncached, d
+        assert entropy_report.cache_info().misses == len(set(graphs))
 
     def test_the_core_pin_reads_the_graphs_ends(self):
-        # peeling keeps tau and k - kappa: the pin from the graph's values is
+        # peeling keeps tau, nu and k - kappa: the pin read off the graph is
         # the pin computed on the core, on every graph with n <= 3 and on
         # random graphs with sources
         rng = random.Random(8)
@@ -278,13 +281,26 @@ class TestFixBoundsReport:
             n = rng.randint(4, 6)
             pairs = [(u, v) for u in range(1, n + 1) for v in range(2, n + 1)]
             graphs.append(Digraph(n, [p for p in pairs if rng.random() < 0.4]))
+
+        def ends(g):
+            return transversal_number(g), cycle_packing_number(g), g.n - clique_partition_number(g)
+
         for d in graphs:
             core, _peeled = _source_core(d)
             if core is None:
                 continue
-            ends = (transversal_number(d), d.n - clique_partition_number(d))
-            assert ends == (transversal_number(core), core.n - clique_partition_number(core)), d
-            assert _integer_pin(core, *ends) == _integer_pin(core), d
+            assert ends(d) == ends(core), d
+            assert _integer_pin(d) == _integer_pin(core), d
+
+    def test_a_graph_past_the_vertex_cap_reads_its_cores_ends(self):
+        # 16 sources feed a directed 10-cycle: the graph's invariants are
+        # refused at 26 vertices, its core's answer, and their ends meet at 1
+        cycle = [(i, i % 10 + 1) for i in range(1, 11)]
+        d = Digraph(26, cycle + [(10 + i, 1 + i % 10) for i in range(1, 17)])
+        with pytest.raises(SizeLimitExceeded):
+            transversal_number(d)
+        rep = entropy_report(d)
+        assert (rep.value, rep.method, len(rep.peeled)) == (1, "exact-dual", 16)
 
     def test_sandwich_on_all_two_vertex_graphs(self):
         for d in small_digraphs(2):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -12,11 +13,9 @@ from fdsrank.canonical import (
     CONJUNCTIVE_SOURCE_CAP,
     PRODUCT_BOUND_SINK_CAP,
     CanonicalGraph,
-    _pieces,
     absolute_minrank_bounds,
     canonicalize,
     chain_bound,
-    conjunctive_piece_ranks,
     conjunctive_rank_of_canonical,
     format_canonical,
     independent_set_bound,
@@ -203,7 +202,7 @@ def test_conjunctive_rank_counts_distinct_unions():
         c = random_canonical(rng, max_side=rng.choice((3, 6, 10)))
         expected = oracles.brute_conjunctive_rank(c.sources, c.sink_inputs())
         assert conjunctive_rank_of_canonical(c) == expected, c.arcs
-        assert math.prod(conjunctive_piece_ranks(c)) == expected
+        assert math.prod(p._conjunctive_rank for p in c.pieces) == expected
 
 
 def disjoint_union(c1, c2):
@@ -237,7 +236,7 @@ def pairs_and_triples(n_triples):
 
 
 class TestComponents:
-    """The bounds multiply over weak components, which ``_pieces`` splits off."""
+    """The bounds multiply over weak components, which ``pieces`` splits off."""
 
     def test_bounds_of_a_disjoint_union_are_products(self):
         rng = random.Random(71)
@@ -251,7 +250,7 @@ class TestComponents:
 
     def test_empty_canonical_graph_has_no_pieces(self):
         c = canonicalize(fx.E3)
-        assert c.is_empty() and _pieces(c) == []
+        assert c.is_empty() and c.pieces == ()
         assert product_bound(c) == conjunctive_rank_of_canonical(c) == 1
 
     def test_product_bound_cap_is_per_component(self):
@@ -295,11 +294,38 @@ class TestComponents:
         rng = random.Random(72)
         for _ in range(100):
             c = disjoint_union(random_canonical(rng), random_canonical(rng))
-            pieces = _pieces(c)
+            pieces = c.pieces
             assert sum(len(p.sources) for p in pieces) == len(c.sources)
             assert sum(len(p.sinks) for p in pieces) == len(c.sinks)
             assert sum(len(p.arcs) for p in pieces) == len(c.arcs)
             assert all(not p.is_empty() for p in pieces)
+
+
+class TestMemo:
+    BOUNDS = (chain_bound, independent_set_bound, product_bound, conjunctive_rank_of_canonical)
+
+    def test_the_memo_agrees_with_the_uncached_reduction(self):
+        # the shared canonical graph, and the bounds its pieces hold, equal a
+        # fresh reduction's on every digraph with n <= 3 and on the catalog
+        graphs = [d for n in (1, 2, 3) for d in small_digraphs(n)] + list(fx.CATALOG.values())
+        for d in graphs:
+            c, fresh = canonicalize(d), canonicalize.__wrapped__(d)
+            assert canonicalize(d) is c and fresh is not c
+            assert (c.sources, c.sinks, c.arcs, c.provenance) == \
+                (fresh.sources, fresh.sinks, fresh.arcs, fresh.provenance), d
+            assert [bound(c) for bound in self.BOUNDS] == [bound(fresh) for bound in self.BOUNDS]
+        assert canonicalize.cache_info().misses == len(set(graphs))
+
+    def test_a_shared_canonical_graph_cannot_be_changed(self):
+        c = canonicalize(fx.C3)  # three pieces
+        assert isinstance(c.pieces, tuple) and len(c.pieces) == 3
+        for g in (c, *c.pieces):
+            with pytest.raises(TypeError):
+                g.provenance[1] = (9, 0)
+            for name in ("pieces", "provenance", "_product"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(g, name, None)
+        assert dict(c.provenance) == dict(canonicalize.__wrapped__(fx.C3).provenance)
 
 
 class TestTightness:
@@ -378,7 +404,7 @@ class TestAbsoluteBounds:
     def test_upper_end_uses_the_independent_set_count_past_the_source_cap(self):
         d = pairs_and_triples(CONJUNCTIVE_SOURCE_CAP + 1 - 15)
         c = canonicalize(d)
-        assert len(c.sources) == CONJUNCTIVE_SOURCE_CAP + 1 and len(_pieces(c)) == 1
+        assert len(c.sources) == CONJUNCTIVE_SOURCE_CAP + 1 and len(c.pieces) == 1
         with pytest.raises(SizeLimitExceeded):
             conjunctive_rank_of_canonical(c)
         b = absolute_minrank_bounds(d)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from fdsrank import canonical, cli, enumeration, kernels, ratlp
+from fdsrank import canonical, cli, kernels, ratlp
 from fdsrank import fixtures as fx
 from fdsrank.cli import main
 from fdsrank.digraph import Digraph, format_digraph
@@ -135,12 +135,13 @@ def count_calls(monkeypatch, fn, modules):
 
 class TestAnalyzeSharesTheCanonicalGraph:
     def test_one_canonical_graph_and_one_product_bound(self, capsys, monkeypatch, fig1_file):
-        # the canonical and minrank sections; conjunctive_rank canonicalizes
-        # on its own, and nothing else computes a product bound
-        canonicalized = count_calls(monkeypatch, canonical.canonicalize, [cli, canonical])
-        bounded = count_calls(monkeypatch, canonical.product_bound, [cli, canonical, enumeration])
+        # every section reads the memoized canonical graph, and its pieces
+        # hold their product bounds: one computation of each
+        products = count_calls(monkeypatch, canonical._product_bound_component, [canonical])
         rc, doc = run_json(capsys, ["analyze", fig1_file, "--q", "2"])
-        assert rc == 0 and len(canonicalized) == len(bounded) == 1
+        c = canonical.canonicalize(fx.FIG1)
+        assert rc == 0 and canonical.canonicalize.cache_info().misses == 1
+        assert len(products) == len(c.pieces)
         bounds = canonical.absolute_minrank_bounds(fx.FIG1)
         assert doc["canonical"]["Lp"] == bounds.lower
         assert (doc["minrank"]["lower"], doc["minrank"]["upper"]) == (bounds.lower, bounds.upper)
@@ -151,7 +152,7 @@ class TestAnalyzeSharesTheCanonicalGraph:
         counted = count_calls(monkeypatch, canonical._conjunctive_piece_rank, [canonical])
         rc, doc = run_json(capsys, ["analyze", fig1_file, "--q", "2"])
         assert rc == 0
-        assert len(counted) == len(canonical._pieces(canonical.canonicalize(fx.FIG1)))
+        assert len(counted) == len(canonical.canonicalize(fx.FIG1).pieces)
         assert doc["conjunctive_rank"]["value"] == canonical.conjunctive_rank_of_canonical(
             canonical.canonicalize(fx.FIG1))
 
@@ -160,7 +161,8 @@ class TestAnalyzeSharesTheCanonicalGraph:
         def refused(c):
             raise SizeLimitExceeded("product bound refused", projected=99)
 
-        monkeypatch.setattr(cli, "product_bound", refused)
+        for module in (cli, canonical):
+            monkeypatch.setattr(module, "product_bound", refused)
         rc, doc = run_json(capsys, ["analyze", fig1_file, "--q", "2"])
         assert rc == 0
         assert doc["canonical"]["Lp"]["status"] == "skipped(size)"

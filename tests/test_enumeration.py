@@ -963,6 +963,18 @@ def test_the_memo_holds_one_graph_at_one_alphabet(monkeypatch):
                     "another alphabet": 2, "a later loose sweep": 3}
 
 
+def test_chain_groups_are_kept_across_a_loose_then_a_strict_pass():
+    # a loose pass over 40 graphs, then a strict pass, twice over: each
+    # family's chain groups are computed once, though its guard and its
+    # sweep both read them
+    graphs = list(itertools.islice(small_digraphs(3), 0, 400, 10))
+    for _ in range(2):
+        for strict in (False, True):
+            for d in graphs:
+                enumerate_stats(d, 2, strict=strict)
+    assert enumeration._chain_groups.cache_info().misses == 2 * len(graphs) == 80
+
+
 @pytest.mark.parametrize("d,q,vertices", [
     (fx.C3_LOOPED, 2, range(3)),
     (CHAIN_FAMILIES[0][0], 3, [1, 2]),  # vertex 1 reads nothing: every table is essential

@@ -11,6 +11,7 @@ from fdsrank import invariants
 from fdsrank.digraph import Digraph
 from fdsrank.errors import LoopsPresent, NotStronglyConnected, SizeLimitExceeded
 from fdsrank.invariants import (
+    MAX_ENUMERATED_CYCLES,
     blowup,
     clique_partition_number,
     cycle_cover_certificate,
@@ -98,6 +99,43 @@ class TestCyclePacking:
     @settings(max_examples=40, deadline=None)
     def test_at_most_transversal(self, d):
         assert cycle_packing_number(d) <= transversal_number(d)
+
+
+def outcome(fn, d):
+    """``fn(d)``, or the message and projected size of its refusal."""
+    try:
+        return fn(d)
+    except SizeLimitExceeded as exc:
+        return "refused", str(exc), exc.projected
+
+
+class TestMemo:
+    @pytest.mark.parametrize("invariant", [transversal_number, clique_partition_number,
+                                           cycle_packing_number], ids=lambda f: f.__name__)
+    def test_the_memo_agrees_with_the_uncached_invariant(self, invariant):
+        # a first call fills the memo and a second reads it; a graph past the
+        # vertex cap is refused both times alike
+        graphs = [d for n in (1, 2, 3) for d in small_digraphs(n)]
+        graphs += list(fx.CATALOG.values()) + [Digraph(25, [])]
+        for d in graphs:
+            uncached = outcome(invariant.__wrapped__, d)
+            assert outcome(invariant, d) == outcome(invariant, d) == uncached, d
+        assert invariant.cache_info().misses == len(set(graphs))
+
+    def test_a_refusal_is_kept_and_raised_again_equal(self):
+        # nu on the loopless K24 gives up after enumerating 100,001 cycles;
+        # the memo raises an equal refusal again without enumerating them
+        k24 = fx.complete(24)
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(SizeLimitExceeded) as err:
+                cycle_packing_number(k24)
+            refusals.append(err.value)
+        first, again = refusals
+        assert again is not first
+        assert again.projected == first.projected == MAX_ENUMERATED_CYCLES + 1
+        assert str(again) == str(first) == f"more than {MAX_ENUMERATED_CYCLES} simple cycles"
+        assert cycle_packing_number.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 class TestCliquePartition:
