@@ -81,7 +81,7 @@ order sweeps as few systems as the best order of each multiset, found by
 trying them all.
 
 The twin split is packed into the same single kernel call
-(``kernels.family_histograms`` with factors). Each class of twins is one
+(``kernels.family_histograms``). Each class of twins is one
 factor whose rows are listed as sub-products: a sub-product fixes the key
 of every twin but the last in rank order, and the last twin takes every
 key from that one on, as two runs of its key-sorted rows. The run of the
@@ -521,6 +521,12 @@ def _kernel_blocks(systems: int, cols: int) -> int:
     return -(-systems // cols)
 
 
+def _whole(rows: list[tuple[np.ndarray, ...]], vertices) -> list:
+    """Each of ``vertices`` as a factor of its own: one sub-product, one
+    run over all its rows."""
+    return [((v,), [(((0, rows[v][0].size, 1),),)]) for v in vertices]
+
+
 def _twin_split(d: Digraph, q: int, rows: list[tuple[np.ndarray, ...]], cols: int,
                 plain: int):
     """The twin split as (rows, counts, factors) for the kernel, when it packs
@@ -583,30 +589,28 @@ def _twin_split(d: Digraph, q: int, rows: list[tuple[np.ndarray, ...]], cols: in
             subs.append(tuple(((s[x], s[x + 1], 1),) for s, x in zip(starts, prefix))
                         + (tuple(runs),))
         factors.append((tuple(members), subs))
-    factors += [((v,), [(((0, rows[v][0].size, 1),),)]) for v in others]
-    return rows, counts, factors
+    return rows, counts, factors + _whole(rows, others)
 
 
 def _sweep_plan(d: Digraph, q: int, strict: bool, n_states: int):
     """The rows, the factor row counts and the factors of the sweep's one
     kernel call.
 
-    The plan is the chain's rows whole, each vertex its own factor
-    (factors None), or the twin split, whichever packs into fewer kernel
-    blocks of cols maps. A plain plan of one block is kept without looking
-    for twins.
+    The plan is the chain's rows whole, each vertex its own factor, or the
+    twin split, whichever packs into fewer kernel blocks of cols maps. A
+    plain plan of one block is kept without looking for twins.
     """
     rows = _chain_rows(d, q, strict)
     cols = max(1, kernels.BLOCK_CELLS // n_states)
     counts = [row[0].size for row in rows]
     plain = _kernel_blocks(math.prod(counts), cols)
     if plain == 1:
-        return rows, counts, None
+        return rows, counts, _whole(rows, range(d.n))
     # rows in order of flag, then multiplicity, so that most blocks share
     # one class
     rows = [tuple(a[order] for a in row) for row in rows
             for order in [np.lexsort((row[1], row[2]))]]
-    return _twin_split(d, q, rows, cols, plain) or (rows, counts, None)
+    return _twin_split(d, q, rows, cols, plain) or (rows, counts, _whole(rows, range(d.n)))
 
 
 # the strict histograms the last loose sweep binned, under (graph, alphabet):
@@ -636,8 +640,9 @@ def enumerate_stats(
         rows, counts, factors = _sweep_plan(d, q, strict, n_states)
         w, _live, mult = _sweep_tensor(d, q, rows)
         hists = np.array(kernels.family_histograms(
-            w, counts, n_states, mult, factors, None if strict else [row[2] for row in rows]))
-        # a loose sweep's histograms run on into those of its strict family
+            w, counts, n_states, mult, factors, [row[2] for row in rows]))
+        # a sweep's histograms run on into those of its strict family: the
+        # same ones when it is strict, since it keeps essential rows only
         hists, flagged = hists[:, : n_states + 1], hists[:, n_states + 1 :]
     # the only guard against a kernel, a weight or a flag that drops or
     # double-counts systems
@@ -673,8 +678,7 @@ def minrank_exact(
     keeps them: every system has a conjugate of equal rank with a
     representative at each vertex in turn (see the module docstring).
     Partial table assignments are priced by the number of distinct projected
-    image tuples, multiplied by the canonical product bound of the unassigned
-    remainder whenever the two blocks read disjoint coordinates.
+    image tuples, which only grows as more vertices are assigned.
     """
     # the search prunes the strict family instead of sweeping it, so it has no
     # function-count guard; it holds the sweep's tensor
@@ -687,25 +691,9 @@ def minrank_exact(
     if incumbent <= global_lower:
         return incumbent
 
-    ins = d.in_map()
     # every vertex tries one table per orbit of its chain group: some minimizer
     # has a representative at each vertex (see the module docstring)
     w, counts, _mult = _sweep_tensor(d, q, _chain_rows(d, q, True))
-
-    # product factors for suffixes whose coordinates are disjoint from the prefix
-    factors = [1] * (d.n + 1)
-    for k in range(1, d.n):
-        prefix_coords = set()
-        for v in range(1, k + 1):
-            prefix_coords |= ins[v]
-        rest_coords = set()
-        for v in range(k + 1, d.n + 1):
-            rest_coords |= ins[v]
-        if prefix_coords & rest_coords:
-            continue
-        rest_arcs = [(u, v) for u, v in d.arcs if v > k]
-        if rest_arcs:
-            factors[k] = product_bound(canonicalize(Digraph(d.n, rest_arcs)))
 
     def search(depth: int, partial: np.ndarray, n_cls: int) -> None:
         # distinct sums of the chosen rows are distinct prefix tuples
@@ -719,7 +707,7 @@ def minrank_exact(
         for row in w[depth, : counts[depth]]:
             extended = partial + row
             cnt = int(np.unique(extended).size)
-            if cnt * factors[depth + 1] < incumbent:
+            if cnt < incumbent:
                 search(depth + 1, extended, cnt)
 
     search(0, np.zeros_like(w[0, 0]), 1)

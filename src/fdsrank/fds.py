@@ -159,15 +159,15 @@ def rank(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> int:
     return int(np.unique(map_array(f, max_states)).size)
 
 
-def fixed_points(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> list[tuple[int, ...]]:
-    m = map_array(f, max_states)
+def fixed_points(f: Fds) -> list[tuple[int, ...]]:
+    m = map_array(f)
     idxs = np.nonzero(m == np.arange(m.size, dtype=np.int64))[0]
     return [index_to_state(int(i), f.n, f.q) for i in idxs]
 
 
-def _eventual_image(f: Fds, max_states: int) -> tuple[int, int]:
+def _eventual_image(f: Fds) -> tuple[int, int]:
     """(size, steps): the image of f^k stops shrinking at k = steps, at this size."""
-    m = map_array(f, max_states)
+    m = map_array(f)
     s = np.unique(m)
     k = 1
     while True:
@@ -178,14 +178,14 @@ def _eventual_image(f: Fds, max_states: int) -> tuple[int, int]:
         k += 1
 
 
-def periodic_rank(f: Fds, max_states: int = DEFAULT_MAX_STATES) -> int:
+def periodic_rank(f: Fds) -> int:
     """Size of the eventual image, by iterating image sets until stable."""
-    return _eventual_image(f, max_states)[0]
+    return _eventual_image(f)[0]
 
 
-def nilpotency_class(f: Fds, max_states: int = DEFAULT_MAX_STATES):
+def nilpotency_class(f: Fds):
     """(nilpotent, class): class is the least k with f^k constant, else None."""
-    size, k = _eventual_image(f, max_states)
+    size, k = _eventual_image(f)
     return (True, k) if size == 1 else (False, None)
 
 

@@ -10,14 +10,14 @@ Input: ``w`` of shape (n_vertices, max_tables, n_states) where row ``w[v, t]``
 is the already weighted contribution of table ``t`` at vertex ``v`` (local
 value times q^(v-1)). The map of a combination is the sum of its chosen
 rows. The sweep is a table product over factors, ``counts[f]`` rows each.
-By default vertex v is factor v, with the first ``counts[v]`` rows of
-``w[v]``. A factor of several vertices lists its rows as sub-products,
-each a contiguous range of every one of its vertices' rows, cut into runs
-of a weight. ``mult[v]``, when given, holds an integer multiplicity for
-each row of ``w[v]``, and a combination counts the product of its rows'
-multiplicities and run weights. ``flags[v]``, when given, marks each row
-of ``w[v]`` 0 or 1, and the same pass also histograms the combinations
-whose rows are all marked: the strict family inside the loose one.
+A factor lists its rows as sub-products, each a contiguous range of every
+one of its vertices' rows, cut into runs of a weight; a vertex on its own
+is a factor of one sub-product, one run over all its rows. ``mult[v]``
+holds an integer multiplicity for each row of ``w[v]``, and a combination
+counts the product of its rows' multiplicities and run weights.
+``flags[v]`` marks each row of ``w[v]`` 0 or 1, and the same pass also
+histograms the combinations whose rows are all marked: the strict family
+inside the loose one.
 
 The product of the factors' sub-products gives the pieces of the sweep,
 each a table product of row ranges. Maps are built in state-major blocks:
@@ -28,21 +28,22 @@ flag alone does not count) are taken outermost, then the rest, either way
 largest table list outermost. The table product of the innermost vertices
 that fits in one block is built once per piece by broadcast adds; the
 next vertex out (the boundary) gives the heads, each added to every inner
-column, and every vertex further out adds one prefix column. No system costs a division or
-a gather. A piece whose product overruns a block continues in the next
-one, inside a head if need be.
+column, and every vertex further out adds one prefix column. A piece of
+one vertex, like a vertex with more rows than a block holds, gives heads
+on one zero inner column. No system costs a division or a gather. A
+piece whose product overruns a block continues in the next one, inside a
+head if need be.
 
-Every column carries a class: a mixed-radix number over the vertices
-whose rows count unequally, one digit for each row's multiplicity, flag
-and run weight, indexing a small table of weights (orbit size times
-multinomial, in the twin split). With flags the table has two rows: the
-weight, and the weight times the product of the column's flags, so the
-flagged histograms cost no second pass. A block whose columns all share
-one class is binned once, unweighted, into the histograms of its class,
-scaled once at the end by both rows. Other blocks take one bin count over
-(class, value) pairs and a product with the class weights. A vertex
-whose rows in a piece share one class carries it as one number, not a
-digit a column. Histograms stay int64 throughout.
+Every column carries a class: a mixed-radix number over the vertices,
+one digit for each row's multiplicity, flag and run weight (0 at a
+vertex whose rows all count alike), indexing a small table of weights
+(orbit size times multinomial, in the twin split). The table has two
+rows: the weight, and the weight times the product of the column's
+flags, so the flagged histograms cost no second pass. A block whose
+columns all share one class is binned once, unweighted, into the
+histograms of its class, scaled once at the end by both rows. Other
+blocks take one bin count over (class, value) pairs and a product with
+the class weights. Histograms stay int64 throughout.
 
 Up to 64 states a set of states is a bitset in the narrowest unsigned word
 that holds ``n_states`` bits, one word per column:
@@ -51,10 +52,7 @@ that holds ``n_states`` bits, one word per column:
 - periodic rank iterates S <- f(S) from the image, where f(S) is the OR of
   1 << f(x) over x in S. The sets shrink, so a column that stays put once
   stays put for good, and the limit is the set of periodic points. A block
-  is done when no column moves, after n_states - 1 steps at the latest.
-  With words wider than a byte, settled columns are counted and dropped once
-  at most a quarter of the block still moves, and the block is binned once
-  at the end;
+  is done when no column moves, after n_states - 1 steps at the latest;
 - fixed points take one compare per state.
 
 Above 64 states no word holds a set. Each block is turned to one map per
@@ -90,45 +88,43 @@ def _weight_classes(live, mult, flags, pieces, n_bins, cols):
     """Each vertex's per-row class digit, and the weights of each class.
 
     A column's raw class is the sum of its rows' digits, a mixed-radix
-    number over the vertices whose rows do not all count equally: a row's
-    digit names its multiplicity, its flag and the weight of its run.
+    number over the vertices: a row's digit names its multiplicity, its
+    flag and the weight of its run, and is 0 where a vertex's rows all
+    count alike.
     Returns (each vertex's digits, the digit step of each of its run
     weights, the weights of each class, raw class -> class, whether each
-    vertex's rows differ in weight, not in flag alone); a vertex whose rows
-    all count equally has no digits (None). The weights are one row,
-    or with flags two: a column's weight, and that weight times the product
-    of its rows' flags. Raw classes are mapped to their distinct weights
-    only when their bins would outnumber a block's columns, else the map is
-    None.
+    vertex's rows differ in weight, not in flag alone). The weights are two
+    rows: a column's weight, and that weight times the product of its rows'
+    flags. Raw classes are mapped to their distinct weights only when their
+    bins would outnumber a block's columns, else the map is None.
     """
-    digits, steps, weighted = [None] * len(live), [None] * len(live), [False] * len(live)
-    # each class's weight, and with flags whether all its rows are flagged
+    digits, steps, weighted = [], [], []
+    # each class's weight, and whether all its rows are flagged
     table = flagged = np.ones(1, dtype=np.int64)
     for v, rows in enumerate(live):
-        key = np.ones(rows, dtype=np.int64) if mult is None else np.asarray(
-            mult[v][:rows], dtype=np.int64)
-        if flags is not None:  # the flag as the lowest bit
-            key = 2 * key + flags[v][:rows]
+        # the flag as the lowest bit
+        key = 2 * np.asarray(mult[v][:rows], dtype=np.int64) + flags[v][:rows]
         runs = sorted({weight for piece in pieces for _, _, weight in piece[v]})
         values = key[:1] if key[0] == key[-1] and (key == key[0]).all() else _distinct(key)
-        if len(runs) > 1 or values.size > 1:
-            radix = table.size
-            digits[v] = np.searchsorted(values, key) * radix
-            steps[v] = {weight: i * values.size * radix for i, weight in enumerate(runs)}
-        if flags is not None:
-            flagged = np.concatenate([np.multiply.outer(values & 1, flagged).ravel()] * len(runs))
-            values = values >> 1
-        weighted[v] = len(runs) > 1 or values[0] != values[-1]
+        radix = table.size
+        digits.append(np.searchsorted(values, key) * radix)
+        steps.append({weight: i * values.size * radix for i, weight in enumerate(runs)})
+        flagged = np.concatenate([np.multiply.outer(values & 1, flagged).ravel()] * len(runs))
+        values = values >> 1
+        weighted.append(len(runs) > 1 or values[0] != values[-1])
         table = np.multiply.outer(values, table).ravel()
         table = np.concatenate([table * weight for weight in runs])
+    # raw classes in the narrowest word that holds them, so that the
+    # class sums written for every column cost the fewest bytes
+    rtype = _uint((table.size - 1).bit_length())
+    digits = [d.astype(rtype) for d in digits]
     remap = None
     if table.size * n_bins > cols:
-        key = table if flags is None else 2 * table + flagged
+        key = 2 * table + flagged
         values = _distinct(key)
         remap = np.searchsorted(values, key)
-        table, flagged = (values, None) if flags is None else (values >> 1, values & 1)
-    weights = np.array([table] if flags is None else [table, table * flagged])
-    return digits, steps, weights, remap, weighted
+        table, flagged = values >> 1, values & 1
+    return digits, steps, np.array([table, table * flagged]), remap, weighted
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -140,34 +136,16 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 def _piece_rows(rows, digits, steps, piece, memo):
     """Each vertex's rows in a piece, (n_states, r), and their raw class
-    digits, an int where all are equal. ``memo`` keeps them by vertex and
-    runs across the pieces of a call."""
+    digits. ``memo`` keeps them by vertex and runs across the pieces of a
+    call."""
     out = []
     for v, runs in enumerate(piece):
         got = memo.get((v, runs))
         if got is None:
-            raw = digits[v]
-            if raw is None:
-                raw = 0
-            else:
-                parts = [raw[a:b] + steps[v][weight] for a, b, weight in runs]
-                raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                if raw[0] == raw[-1] and (raw == raw[0]).all():
-                    raw = int(raw[0])
+            raw = np.concatenate([digits[v][a:b] + steps[v][weight] for a, b, weight in runs])
             got = memo[v, runs] = (rows[v][:, runs[0][0] : runs[-1][1]], raw)
         out.append(got)
     return out
-
-
-def _product_classes(outer, inner, outer_n, inner_n):
-    """Raw classes of the product of two row lists of ``outer_n`` and
-    ``inner_n`` rows, ``outer`` outermost; an int stands for one shared
-    class."""
-    if isinstance(outer, int):
-        return outer + inner if isinstance(inner, int) else np.tile(inner + outer, outer_n)
-    if isinstance(inner, int):
-        return np.repeat(outer + inner, inner_n)
-    return (outer[:, None] + inner[None, :]).ravel()
 
 
 def _segments(picked, cols, dtype):
@@ -178,46 +156,34 @@ def _segments(picked, cols, dtype):
     major. The inner product is built once, from the innermost vertices
     while it fits in a block; the next vertex out (the boundary) gives the
     heads, a slice at a time, each plus one prefix column of the vertices
-    further out. A piece of one vertex has one head, None, the zero map.
-    Raw classes are an int where they are all equal.
+    further out. A piece of one vertex, or a vertex with more rows than a
+    block holds, gives heads on one zero inner column.
     """
     n_states = picked[0][0].shape[0]
     b = len(picked) - 1
     inner, inner_raw = picked[b]
-    if b == 0:
-        yield None, 0, inner, inner_raw
-        return
     # the boundary stays out of the inner product even when all would fit:
     # heads plus inner columns are written straight into the block
     while b > 1 and inner.shape[1] * picked[b - 1][0].shape[1] <= cols:
         b -= 1
         r, raw = picked[b]
-        inner_raw = _product_classes(raw, inner_raw, r.shape[1], inner.shape[1])
+        inner_raw = (raw[:, None] + inner_raw).ravel()
         inner = (r[:, :, None] + inner[:, None, :]).reshape(n_states, -1)
-    if inner.shape[1] > cols:  # one vertex has more rows than a block holds
+    if b == 0 or inner.shape[1] > cols:
         b += 1
-        inner, inner_raw = np.zeros((n_states, 1), dtype=dtype), 0
+        inner, inner_raw = np.zeros((n_states, 1), dtype=dtype), np.zeros(1, dtype=inner_raw.dtype)
     boundary, boundary_raw = picked[b - 1]
     per_block = max(1, cols // inner.shape[1])
     for prefix_rows in itertools.product(*(range(r.shape[1]) for r, _ in picked[: b - 1])):
         prefix, prefix_raw = None, 0
         for (r, raw), t in zip(picked, prefix_rows):
             prefix = r[:, t : t + 1] if prefix is None else prefix + r[:, t : t + 1]
-            prefix_raw += raw if isinstance(raw, int) else int(raw[t])
+            prefix_raw += int(raw[t])
         for start in range(0, boundary.shape[1], per_block):
             head = boundary[:, start : start + per_block]
             if prefix is not None:
                 head = head + prefix
-            head_raw = prefix_raw
-            if isinstance(boundary_raw, int):
-                head_raw += boundary_raw
-            else:
-                raw = boundary_raw[start : start + per_block]
-                if (raw != raw[0]).any():
-                    head_raw = raw + prefix_raw
-                else:
-                    head_raw += int(raw[0])
-            yield head, head_raw, inner, inner_raw
+            yield head, boundary_raw[start : start + per_block] + prefix_raw, inner, inner_raw
 
 
 def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
@@ -231,55 +197,44 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
     systems = sum(math.prod(runs[-1][1] - runs[0][0] for runs in piece) for piece in pieces)
     cols = min(cols, systems)  # a sweep of one block fills it
     buf = np.empty((n_states, cols), dtype=dtype)
-    # raw classes only where some rows count unequally: else every class is 0
-    raw_buf = np.zeros(cols, dtype=np.intp) if any(r is not None for r in digits) else None
+    raw_buf = np.empty(cols, dtype=digits[0].dtype)
     pos, memo = 0, {}
 
     def block():
         m = buf if pos == cols else np.ascontiguousarray(buf[:, :pos])
-        if raw_buf is None:
-            return m, 0 if remap is None else int(remap[0])
         raw = raw_buf[:pos] if remap is None else remap[raw_buf[:pos]]
         return m, int(raw[0]) if (raw == raw[0]).all() else raw
 
     for piece in pieces:
         picked = _piece_rows(rows, digits, steps, piece, memo)
         for head, head_raw, inner, inner_raw in _segments([picked[v] for v in order], cols, dtype):
-            h, i = 1 if head is None else head.shape[1], inner.shape[1]
+            h, i = head.shape[1], inner.shape[1]
             j = t = 0  # next head column, and next inner column of it
             while j < h:
                 room = cols - pos
-                whole = t == 0 and room >= i
-                if whole:
+                if t == 0 and room >= i:
                     take = min(h - j, room // i)
                     n = take * i
-                    # columns head major or inner major, the longer run innermost
-                    flip = take > i
-                    out = buf[:, pos : pos + n].reshape(n_states, *((i, take) if flip else (take, i)))
-                    if head is None:
-                        out[:, 0] = inner
-                    elif flip:
-                        np.add(inner[:, :, None], head[:, None, j : j + take], out=out)
+                    # columns head major or inner major, the longer run
+                    # innermost; class sums go straight into raw_buf, since
+                    # a temporary a segment costs the allocator fresh pages
+                    if take > i:
+                        shape = (i, take)
+                        np.add(inner[:, :, None], head[:, None, j : j + take],
+                               out=buf[:, pos : pos + n].reshape(n_states, *shape))
+                        np.add(inner_raw[:, None], head_raw[j : j + take],
+                               out=raw_buf[pos : pos + n].reshape(shape))
                     else:
-                        np.add(head[:, j : j + take, None], inner[:, None, :], out=out)
-                    ir = inner_raw
-                else:  # part of one head column: the block ends inside it
-                    take, n, flip = 1, min(i - t, room), False
-                    if head is None:
-                        buf[:, pos : pos + n] = inner[:, t : t + n]
-                    else:
-                        np.add(head[:, j : j + 1], inner[:, t : t + n], out=buf[:, pos : pos + n])
-                    ir = inner_raw if isinstance(inner_raw, int) else inner_raw[t : t + n]
-                if raw_buf is not None:
-                    hr = head_raw if isinstance(head_raw, int) else head_raw[j : j + take]
-                    if flip:  # (inner, head) columns
-                        ir = ir if isinstance(ir, int) else ir[:, None]
-                    elif not isinstance(hr, int):  # (head, inner) columns
-                        hr = hr[:, None]
-                    raw_buf[pos : pos + n].reshape(-1, take if flip else n // take)[...] = hr + ir
-                if whole:
+                        shape = (take, i)
+                        np.add(head[:, j : j + take, None], inner[:, None, :],
+                               out=buf[:, pos : pos + n].reshape(n_states, *shape))
+                        np.add(head_raw[j : j + take, None], inner_raw,
+                               out=raw_buf[pos : pos + n].reshape(shape))
                     j += take
-                else:
+                else:  # part of one head column: the block ends inside it
+                    n = min(i - t, room)
+                    np.add(head[:, j : j + 1], inner[:, t : t + n], out=buf[:, pos : pos + n])
+                    np.add(head_raw[j], inner_raw[t : t + n], out=raw_buf[pos : pos + n])
                     t += n
                     if t == i:
                         j, t = j + 1, 0
@@ -317,9 +272,6 @@ def _count_bitsets(m, hist, classes):
     _add(hist[0], np.bitwise_count(image), classes)
     shifts = np.arange(n_states, dtype=word)[:, None]
     picked = np.empty_like(singletons)
-    # a gather costs less than an iteration only for words wider than a byte
-    drop_settled = singletons.itemsize > 1
-    alive = None  # once columns are dropped: the moving ones, by position in the block
     s = image
     while True:
         # picked[x] = {f(x)} if x in S else {}
@@ -327,26 +279,10 @@ def _count_bitsets(m, hist, classes):
         picked &= one
         picked *= singletons
         nxt = np.bitwise_or.reduce(picked, axis=0)
-        moving = nxt != s
-        n_moving = np.count_nonzero(moving)
-        if n_moving == 0:
+        if np.array_equal(nxt, s):
             break
-        if drop_settled and 4 * n_moving <= s.size:
-            # a column that stayed put is done: count it, iterate on without it
-            if alive is None:  # each column's periodic rank, written as it settles
-                alive, periodic = np.arange(s.size), np.empty(s.size, dtype=np.uint8)
-            settled = ~moving
-            periodic[alive[settled]] = np.bitwise_count(nxt[settled])
-            alive = alive[moving]
-            singletons = np.compress(moving, singletons, axis=1)
-            picked = picked[:, :n_moving]
-            nxt = nxt[moving]
         s = nxt
-    if alive is None:
-        periodic = np.bitwise_count(s)
-    else:
-        periodic[alive] = np.bitwise_count(s)
-    _add(hist[1], periodic, classes)
+    _add(hist[1], np.bitwise_count(s), classes)
 
 
 def _distinct_per_row(a):
@@ -368,44 +304,38 @@ def _count_sorted(m, hist, classes):
     _add(hist[1], _distinct_per_row(a), classes)
 
 
-def family_histograms(w: np.ndarray, counts, n_states: int,
-                      mult: list[np.ndarray] | None = None, factors=None, flags=None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def family_histograms(w: np.ndarray, counts, n_states: int, mult: list[np.ndarray],
+                      factors, flags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histograms (rank, periodic rank, fixed points) over a table product.
 
-    The product runs over factors, factor f having ``counts[f]`` rows. By
-    default vertex v is factor v, its rows the first counts[v] rows of
-    ``w[v]``. ``factors[f]``, when given, is (vertices, sub-products): the
-    factor's rows are the tuples of rows of its vertices that some
-    sub-product lists, one of them each, and a sub-product gives each of its
-    vertices a contiguous list of runs (start, stop, weight) of its rows.
+    The product runs over factors, factor f having ``counts[f]`` rows.
+    ``factors[f]`` is (vertices, sub-products): the factor's rows are the
+    tuples of rows of its vertices that some sub-product lists, one of them
+    each, and a sub-product gives each of its vertices a contiguous list of
+    runs (start, stop, weight) of its rows.
 
-    ``mult[v]``, when given, holds an integer multiplicity for each row of
-    ``w[v]``; a system counts the product of its rows' multiplicities and of
-    the weights of their runs. ``flags[v]``, when given, marks each row of
-    ``w[v]`` 0 or 1, and each histogram runs on for n_states + 1 more bins:
+    ``mult[v]`` holds an integer multiplicity for each row of ``w[v]``; a
+    system counts the product of its rows' multiplicities and of the
+    weights of their runs. ``flags[v]`` marks each row of ``w[v]`` 0 or 1.
+    Each histogram has 2 (n_states + 1) bins: those of every system, then
     those of the systems whose rows are all marked 1, from the same pass.
     """
     n = w.shape[0]
-    n_sets = 1 if flags is None else 2
-    if factors is None:
-        pieces = [[((0, int(c), 1),) for c in counts]]
-    else:
-        listed = [sum(math.prod(runs[-1][1] - runs[0][0] for runs in sub) for sub in subs)
-                  for _, subs in factors]
-        if listed != [int(c) for c in counts]:
-            raise ValueError(f"factors list {listed} rows, counts say {list(counts)}")
-        pieces = []
-        for combo in itertools.product(*(subs for _, subs in factors)):
-            piece = [None] * n
-            for (vertices, _), sub in zip(factors, combo):
-                for v, runs in zip(vertices, sub):
-                    piece[v] = runs
-            pieces.append(piece)
+    listed = [sum(math.prod(runs[-1][1] - runs[0][0] for runs in sub) for sub in subs)
+              for _, subs in factors]
+    if listed != [int(c) for c in counts]:
+        raise ValueError(f"factors list {listed} rows, counts say {list(counts)}")
+    pieces = []
+    for combo in itertools.product(*(subs for _, subs in factors)):
+        piece = [None] * n
+        for (vertices, _), sub in zip(factors, combo):
+            for v, runs in zip(vertices, sub):
+                piece[v] = runs
+        pieces.append(piece)
     pieces = [piece for piece in pieces if all(runs[-1][1] > runs[0][0] for runs in piece)]
     n_bins = n_states + 1
     if not pieces:
-        return tuple(np.zeros((3, n_sets * n_bins), dtype=np.int64))
+        return tuple(np.zeros((3, 2 * n_bins), dtype=np.int64))
     live = [max(piece[v][-1][1] for piece in pieces) for v in range(n)]
     dtype = _uint((n_states - 1).bit_length())
     # one table per column, state-major, so that a piece's rows are a view;
@@ -422,7 +352,7 @@ def family_histograms(w: np.ndarray, counts, n_states: int,
     count_sets = _count_bitsets if n_states <= 64 else _count_sorted
     # single-class blocks binned unweighted by class, scaled once at the end
     by_class: dict[int, np.ndarray] = {}
-    mixed = np.zeros((3, n_sets, n_bins), dtype=np.int64)
+    mixed = np.zeros((3, 2, n_bins), dtype=np.int64)
     # the class offsets and the binned indices of a mixed block, allocated
     # once a call: block-sized temporaries, freed and taken again each
     # block, cost the allocator fresh pages
@@ -434,11 +364,11 @@ def family_histograms(w: np.ndarray, counts, n_states: int,
                 hist = by_class[cls] = np.zeros((3, n_bins), dtype=np.int64)
             classes = None
         else:
-            hist = mixed
-            classes = (np.multiply(cls, n_bins, out=scratch[0, : cls.size]), weights, scratch[1])
+            offsets = np.multiply(cls, n_bins, out=scratch[0, : cls.size], dtype=np.intp)
+            hist, classes = mixed, (offsets, weights, scratch[1])
         count_sets(m, hist, classes)
         fixed = np.add.reduce((m == states).view(np.uint8), axis=0, dtype=tally)
         _add(hist[2], fixed, classes)
     hist = mixed + sum((h[:, None] * weights[:, c, None] for c, h in by_class.items()),
                        np.int64(0))
-    return tuple(hist.reshape(3, n_sets * n_bins))
+    return tuple(hist.reshape(3, 2 * n_bins))

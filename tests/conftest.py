@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fdsrank
+from fdsrank import kernels
 from fdsrank.digraph import Digraph
 from fdsrank.enumeration import _all_tables, _essential_selector, _strict_memo, _table_counts
 from fdsrank.fds import input_index
@@ -74,3 +75,26 @@ def unreduced_tensor(d, q, strict):
             tables = tables[_essential_selector(q, len(inputs))]
         w[v, : counts[v]] = tables[:, input_index(d.n, q, inputs)].astype(np.int64) * q ** v
     return w, counts
+
+
+def whole_factors(counts):
+    """Each vertex a factor of its own: one sub-product, one run over its
+    ``counts[v]`` rows at weight 1."""
+    return [((v,), [(((0, int(c), 1),),)]) for v, c in enumerate(counts)]
+
+
+def sweep(w, counts, n_states, mult=None, factors=None):
+    """The kernel's histograms over the rows of ``w``, every row flagged.
+
+    Rows count 1 unless ``mult`` is given, and each vertex is a factor of
+    its own ``counts`` rows unless ``factors`` are. With every row flagged
+    both halves of each histogram are the family's: they are checked equal
+    and the first is returned.
+    """
+    ones = [np.ones(w.shape[1], dtype=np.int64)] * w.shape[0]
+    hists = np.array(kernels.family_histograms(
+        w, counts, n_states, ones if mult is None else mult,
+        whole_factors(counts) if factors is None else factors, ones))
+    loose, flagged = hists[:, : n_states + 1], hists[:, n_states + 1 :]
+    assert np.array_equal(loose, flagged)
+    return loose

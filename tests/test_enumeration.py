@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fdsrank
 import oracles
-from conftest import blown_up_digraph, small_digraphs, unreduced_tensor
+from conftest import blown_up_digraph, small_digraphs, sweep, unreduced_tensor, whole_factors
 from fdsrank import enumeration, fds, kernels
 from fdsrank import fixtures as fx
 from fdsrank.digraph import Digraph, structure_stats, twin_classes
@@ -212,7 +212,7 @@ class TestEnumerateStats:
         unreduced = self.FAN_IN_TABLES + (4 + 1) * 2 ** 20
         monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", unreduced - 1)
         report = enumerate_stats(d, 2)
-        hists = kernels.family_histograms(*unreduced_tensor(d, 2, False), 2 ** d.n)
+        hists = sweep(*unreduced_tensor(d, 2, False), 2 ** d.n)
         for stats, hist in zip(report.quantities().values(), hists):
             assert stats.histogram == {int(v): int(c) for v, c in enumerate(hist) if c}
 
@@ -453,7 +453,7 @@ CHAIN_FAMILIES = [
 def chain_histograms(d, q, strict):
     """The kernel's histograms over the chain's rows, before any total check."""
     w, counts, mult = enumeration._sweep_tensor(d, q, enumeration._chain_rows(d, q, strict))
-    return np.array(kernels.family_histograms(w, counts, q ** d.n, mult))
+    return sweep(w, counts, q ** d.n, mult)
 
 
 def split_histograms(d, q, strict):
@@ -465,12 +465,12 @@ def split_histograms(d, q, strict):
     rows, counts, factors = enumeration._twin_split(
         d, q, enumeration._chain_rows(d, q, strict), 1, math.inf)
     w, _live, mult = enumeration._sweep_tensor(d, q, rows)
-    hist = np.array(kernels.family_histograms(w, counts, q ** d.n, mult, factors))
+    hist = sweep(w, counts, q ** d.n, mult, factors)
     return hist, math.prod(len(subs) for _, subs in factors)
 
 
 def assert_chain_sweep_is_the_unreduced_sweep(d, q, strict):
-    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n))
+    unreduced = sweep(*unreduced_tensor(d, q, strict), q ** d.n)
     assert np.array_equal(chain_histograms(d, q, strict), unreduced)
     report = enumerate_stats(d, q, strict=strict)
     for stats, hist in zip(report.quantities().values(), unreduced):
@@ -501,7 +501,7 @@ def test_chain_sweep_equals_the_unreduced_sweep(d, q, strict):
 def test_a_wrong_weight_is_caught(monkeypatch, d, q):
     # one row's multiplicity off by one, at each vertex in turn
     real = enumeration._sweep_tensor
-    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, False), q ** d.n))
+    unreduced = sweep(*unreduced_tensor(d, q, False), q ** d.n)
     for v in range(d.n):
         def off_by_one(*args, v=v):
             w, counts, mult = real(*args)
@@ -530,8 +530,9 @@ def test_one_kernel_call_per_sweep(monkeypatch):
             calls.clear()
             enumerate_stats(d, q, strict=strict)
             assert calls == Counter(family_histograms=1, _sweep_tensor=1), (d, q, strict)
-            _rows, _counts, factors = enumeration._sweep_plan(d, q, strict, q ** d.n)
-            assert (factors is not None) == (d in (LOOPED_K3, DROP_LOOP_K3)), (d, q, strict)
+            _rows, counts, factors = enumeration._sweep_plan(d, q, strict, q ** d.n)
+            assert (factors != whole_factors(counts)) == (d in (LOOPED_K3, DROP_LOOP_K3)), (
+                d, q, strict)
 
 
 # (graph, alphabet) with twin classes of two and three vertices and more
@@ -549,7 +550,7 @@ TWIN_FAMILIES = [
 @pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
 @pytest.mark.parametrize("d,q", TWIN_FAMILIES, ids=[f"{q}^{d.n}-{d.m}" for d, q in TWIN_FAMILIES])
 def test_twin_split_equals_the_unreduced_sweep(d, q, strict):
-    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n))
+    unreduced = sweep(*unreduced_tensor(d, q, strict), q ** d.n)
     hist, sub_products = split_histograms(d, q, strict)
     assert sub_products > 1
     assert np.array_equal(hist, unreduced)
@@ -604,7 +605,7 @@ def test_packed_split_equals_the_unreduced_sweep_on_random_twin_families(strict)
     for d, q in RANDOM_TWIN_FAMILIES:
         if family_size(d, q, strict) == 0:
             continue
-        unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, strict), q ** d.n))
+        unreduced = sweep(*unreduced_tensor(d, q, strict), q ** d.n)
         assert np.array_equal(split_histograms(d, q, strict)[0], unreduced), (d.arcs, q)
         sizes[tuple(sorted(len(c) for c in twin_classes(d) if len(c) > 1))] += 1
     # classes of 2 and of 3 twins, and two classes in one graph
@@ -664,7 +665,7 @@ class TestSweepPlan:
             n_states = q ** d.n
             rows, counts, factors = enumeration._sweep_plan(d, q, False, n_states)
             assert enumeration._kernel_blocks(math.prod(counts), kernels.BLOCK_CELLS // n_states) == 1
-            assert factors is None
+            assert factors == whole_factors(counts)
         assert calls == Counter()
         enumeration._sweep_plan(LOOPED_K3, 2, False, 8)
         assert calls["twin_classes"] == 1 and calls["_key_group"] == 1
@@ -677,7 +678,8 @@ class TestSweepPlan:
         calls = self.counters(monkeypatch)
         d = Digraph(4, [(u, 1) for u in range(1, 5)])
         rows, counts, factors = enumeration._sweep_plan(d, 2, strict, 16)
-        assert factors is None and calls["_key_group"] == 1 and calls["_multinomial"] == 0
+        assert factors == whole_factors(counts)
+        assert calls["_key_group"] == 1 and calls["_multinomial"] == 0
         plain = enumeration._kernel_blocks(math.prod(counts), 8192)
         split = enumeration._twin_split(d, 2, rows, 8192, math.inf)
         assert (plain, enumeration._kernel_blocks(math.prod(split[1]), 8192)) == (5, 5)
@@ -691,7 +693,7 @@ class TestSweepPlan:
             math.prod(codes.size for codes, *_ in enumeration._chain_rows(DROP_LOOP_K3, 2, strict)),
             16384)
         packed = enumeration._kernel_blocks(math.prod(counts), 16384)
-        assert factors is not None
+        assert factors != whole_factors(counts)
         assert (plain, math.prod(counts), packed) == ((12, 81_952, 6) if not strict
                                                       else (5, 36_260, 3))
 
@@ -892,17 +894,35 @@ PLANNED_FAMILIES = ([(fx.C3, 2), (Digraph(2, [(1, 2), (2, 2)]), 3)]
 @pytest.mark.parametrize("d,q", PLANNED_FAMILIES,
                          ids=[f"{q}^{d.n}-{d.m}" for d, q in PLANNED_FAMILIES])
 def test_the_shared_strict_report_is_the_unreduced_sweep(d, q):
-    unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, True), q ** d.n))
+    unreduced = sweep(*unreduced_tensor(d, q, True), q ** d.n)
     shared, _alone = strict_reports(d, q)
     for name, hist in zip(("rank", "periodic_rank", "fixed_points"), unreduced):
         assert shared[name]["histogram"] == {str(v): int(c) for v, c in enumerate(hist) if c}
+
+
+def test_a_strict_sweep_flags_every_row(monkeypatch):
+    # a strict sweep keeps essential rows only, so the flagged half of each
+    # histogram is the whole family's: plain, chain and twin-split plans
+    halves = []
+    real = kernels.family_histograms
+
+    def split(*args):
+        hists = real(*args)
+        halves.append([np.split(hist, 2) for hist in hists])
+        return hists
+
+    monkeypatch.setattr(kernels, "family_histograms", split)
+    for d, q in PLANNED_FAMILIES:
+        enumerate_stats(d, q, strict=True)
+    assert len(halves) == len(PLANNED_FAMILIES)
+    assert all(np.array_equal(a, b) for hists in halves for a, b in hists)
 
 
 def test_the_split_shares_its_strict_family_on_random_twin_families():
     for d, q in RANDOM_TWIN_FAMILIES:
         if family_size(d, q, True) == 0:
             continue
-        unreduced = np.array(kernels.family_histograms(*unreduced_tensor(d, q, True), q ** d.n))
+        unreduced = sweep(*unreduced_tensor(d, q, True), q ** d.n)
         shared, alone = strict_reports(d, q)
         assert shared == alone, (d.arcs, q)
         assert shared["rank"]["histogram"] == {

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import unreduced_tensor
+from conftest import sweep, unreduced_tensor
 from fdsrank import kernels
 from fdsrank.digraph import Digraph
 
@@ -56,8 +56,8 @@ def random_family(rng, n, q, strict, max_systems):
 
 
 def assert_matches_reference(w, counts, n_states, mult=None):
-    got = np.array(kernels.family_histograms(w, counts, n_states, mult))
-    assert np.array_equal(got, reference_histograms(w, counts, n_states, mult))
+    assert np.array_equal(sweep(w, counts, n_states, mult),
+                          reference_histograms(w, counts, n_states, mult))
 
 
 # (vertices, alphabet) for 4, 8, 9, 16, 27, 32, 81 and 128 states: every word
@@ -98,7 +98,7 @@ def test_longest_transient_is_followed_to_the_end(n_states):
     rng = np.random.default_rng(n_states)
     maps = np.vstack([path, np.arange(n_states), rng.integers(0, n_states, (6, n_states))])
     w, counts = stack([maps], n_states)
-    rank, periodic, fixed = kernels.family_histograms(w, counts, n_states)
+    rank, periodic, fixed = sweep(w, counts, n_states)
     assert periodic[1] >= 1 and periodic[n_states] == 1
     assert_matches_reference(w, counts, n_states)
 
@@ -106,10 +106,7 @@ def test_longest_transient_is_followed_to_the_end(n_states):
 def test_narrow_input_rows_give_the_same_histograms():
     rng = np.random.default_rng(5)
     w, counts = random_family(rng, 3, 3, False, max_systems=200)
-    wide = kernels.family_histograms(w, counts, 27)
-    narrow = kernels.family_histograms(w.astype(np.uint8), counts, 27)
-    for a, b in zip(wide, narrow):
-        assert np.array_equal(a, b)
+    assert np.array_equal(sweep(w, counts, 27), sweep(w.astype(np.uint8), counts, 27))
 
 
 def random_mult(rng, counts, weighted):
@@ -141,3 +138,27 @@ def test_weighted_family_over_many_blocks(monkeypatch, weighted):
             for v, size in enumerate((5, 7, 3, 4))]
     w, counts = stack(rows, n_states)
     assert_matches_reference(w, counts, n_states, random_mult(rng, counts, weighted))
+
+
+@pytest.mark.parametrize("rows", [5, 24, 61])
+@pytest.mark.parametrize("weighted", [(), (0,)], ids=["plain", "weighted"])
+def test_one_vertex_family_over_many_blocks(monkeypatch, rows, weighted):
+    # a piece of one vertex gives heads on one zero inner column: fewer rows
+    # than a 24-column block, one block's worth, and rows cut across blocks
+    n_states = 8
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", 24 * n_states)
+    rng = np.random.default_rng(rows + len(weighted))
+    w, counts = stack([rng.integers(0, n_states, size=(rows, n_states))], n_states)
+    assert_matches_reference(w, counts, n_states, random_mult(rng, counts, weighted))
+
+
+@pytest.mark.parametrize("k", [3, 17, 41], ids=["8-bit", "16-bit", "32-bit"])
+def test_raw_classes_in_every_word_width(k):
+    # three vertices of k zero maps, each row its own multiplicity: k^3 raw
+    # classes, carried in the narrowest word that holds them
+    n_states = 8
+    maps = np.random.default_rng(k).integers(0, n_states, size=(5, n_states))
+    w, counts = stack([maps] + [np.zeros((k, n_states), dtype=np.int64)] * 3, n_states)
+    mult = [np.ones(5, dtype=np.int64)] + [np.arange(1, k + 1)] * 3
+    expected = reference_histograms(*stack([maps], n_states), n_states) * (k * (k + 1) // 2) ** 3
+    assert np.array_equal(sweep(w, counts, n_states, mult), expected)

@@ -183,11 +183,17 @@ def test_one_sweep_path_through_the_orbit_reduction():
         for node in ast.walk(tree):
             func = node.func if isinstance(node, ast.Call) else None
             if (getattr(func, "id", None) or getattr(func, "attr", None)) == "family_histograms":
-                calls.append((path.name, owner[node]))
+                calls.append((path.name, owner[node], len(node.args) + len(node.keywords)))
             if path.name == "enumeration.py" and getattr(node, "attr", None) in ("environ", "getenv"):
                 environ.append(node.lineno)
-    assert calls == [("enumeration.py", "enumerate_stats")]
+    # one calling convention: every input required, all six passed
+    assert calls == [("enumeration.py", "enumerate_stats", 6)]
     assert environ == []
+    kernel = next(node for node in ast.parse((SRC / "kernels.py").read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "family_histograms")
+    assert [a.arg for a in kernel.args.args] == [
+        "w", "counts", "n_states", "mult", "factors", "flags"]
+    assert kernel.args.defaults == [] and kernel.args.kwonlyargs == []
     tree = ast.parse((SRC / "enumeration.py").read_text(encoding="utf-8"))
     params = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
               for node in tree.body if isinstance(node, ast.FunctionDef)}
