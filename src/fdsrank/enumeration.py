@@ -101,11 +101,20 @@ are read off the loose chain's rows even where the strict chain would take
 the vertices in another order (at q=2 in-degrees 0 and 1 tie at 2 strict
 tables each, and the loose chain puts in-degree 1 first). The loose sweep
 flags each row it keeps as essential or not (cached with the orbit
-leaders) and keeps the flagged histograms for the last graph and alphabet
-it swept, one slot. A strict request is priced first, so a refusal keeps
-its message and projected size; then it reads the slot if it holds its
-graph and alphabet, and else sweeps the strict rows. Either way its
-histograms pass the same total check against the strict family size.
+leaders), and keeps the flagged histograms with its own.
+
+The sweep runs once per weak component. A table reads only its own
+component, so a family, loose or strict, is the product of its
+components' families. The image, the periodic points and the fixed points
+of a product map are the products of its factors', so each quantity
+multiplies, and each histogram is the multiplicative convolution of the
+components' (out[x·y] += a[x]·b[y]). A component is relabelled 1..k in
+increasing vertex order, which keeps its chain and twins, so the price of
+the whole family covers each component's set-up. Its histograms are
+memoized under (component, alphabet), for 2,048 of them: the strict
+family's, and the loose family's once a loose sweep made them. A request
+is priced first, so a refusal keeps its message and projected size, and
+the product passes the total check against the family size.
 """
 
 from __future__ import annotations
@@ -121,7 +130,7 @@ import numpy as np
 from . import kernels
 from .canonical import canonicalize, product_bound
 from .constructions import conjunctive_rank
-from .digraph import Digraph, fingerprint, twin_classes
+from .digraph import Digraph, fingerprint, twin_classes, weak_components
 from .errors import IntegrityError, SizeLimitExceeded, projected_size
 from .fds import (
     DEFAULT_MAX_STATES,
@@ -191,33 +200,34 @@ def _table_orbits(
 def _orbit_moves(q: int, k: int, coords, swaps=()) -> list[np.ndarray]:
     """The code each generator of :func:`_table_orbits` sends every table to.
 
-    Codes are held in the narrowest unsigned dtype that holds them.
+    The codes, in the narrowest unsigned dtype that holds them, form a grid
+    with one axis per cell, indexed by the cell's value (Fortran order, as
+    codes are little-endian). A generator (τ·t)(x) = τ_out(t(τ_in x)) moves
+    the value of cell y to cell τ_in y, an axis permutation, and maps it by
+    τ_out, a gather along every axis.
     """
-    tables = _all_tables(q, k)
-    code_type = np.min_scalar_type(tables.shape[0] - 1)
-    cells = np.arange(q ** k, dtype=np.int64)
-    weight = (q ** cells).astype(code_type)
-    generators = []  # (where each cell's value lands, the output's permutation or None)
+    cells = np.arange(q ** k)
+    codes = np.arange(q ** cells.size, dtype=np.min_scalar_type(q ** cells.size - 1))
+    grid = codes.reshape((q,) * cells.size, order="F")
+    generators = []  # (the axis each cell's value lands on, the output's permutation or None)
     for j, output in coords:
         for a in range(q - 1):
-            swap = np.arange(q, dtype=np.int64)
+            swap = np.arange(q)
             swap[[a, a + 1]] = a + 1, a
-            # (τ·t)(x) = τ_out(t(τ_in x)): the value of cell y lands in cell τ_in y
             moved = cells
             if j is not None:
                 digit = cells // q ** j % q
                 moved = cells + (swap[digit] - digit) * q ** j
-            generators.append((moved, swap.astype(tables.dtype) if output else None))
+            generators.append((moved, swap if output else None))
     for i, j in swaps:
         di, dj = cells // q ** i % q, cells // q ** j % q
         generators.append((cells + (dj - di) * q ** i + (di - dj) * q ** j, None))
     moves = []
     for moved, out in generators:
-        code = np.zeros(tables.shape[0], dtype=code_type)
-        for y in cells:  # one cell at a time: no wide copy of the table matrix
-            column = tables[:, y]
-            code += (column if out is None else out[column]) * weight[moved[y]]
-        moves.append(code)
+        code = grid
+        for axis in range(cells.size if out is not None else 0):
+            code = np.take(code, out, axis=axis)
+        moves.append(code.transpose(moved).ravel(order="F"))
     return moves
 
 
@@ -298,14 +308,13 @@ class StatsReport:
         return "\n".join([head] + lines) + "\n"
 
 
-def _quantity_from_hist(hist: np.ndarray, total: int) -> QuantityStats:
-    nz = np.nonzero(hist)[0]
-    histogram = {int(v): int(hist[v]) for v in nz}
-    weighted = sum(v * c for v, c in histogram.items())
+def _quantity_from_hist(pairs: tuple, total: int) -> QuantityStats:
+    """A quantity's stats from its nonzero (value, count) pairs, increasing."""
+    histogram = dict(pairs)
     return QuantityStats(
-        minimum=int(nz.min()),
-        maximum=int(nz.max()),
-        average=Fraction(weighted, total),
+        minimum=pairs[0][0],
+        maximum=pairs[-1][0],
+        average=Fraction(sum(v * c for v, c in pairs), total),
         histogram=histogram,
     )
 
@@ -613,9 +622,38 @@ def _sweep_plan(d: Digraph, q: int, strict: bool, n_states: int):
     return _twin_split(d, q, rows, cols, plain) or (rows, counts, _whole(rows, range(d.n)))
 
 
-# the strict histograms the last loose sweep binned, under (graph, alphabet):
-# one slot, so a strict request right after the loose one reads them
-_strict_memo: dict[tuple[Digraph, int], np.ndarray] = {}
+def _sweep_component(c: Digraph, q: int, strict: bool) -> dict[bool, tuple]:
+    """The histograms of a connected graph's family, from one kernel call,
+    as each quantity's nonzero (value, count) pairs: under ``strict``, and
+    under True also when a loose sweep binned its strict family."""
+    n_states = q ** c.n
+    rows, counts, factors = _sweep_plan(c, q, strict, n_states)
+    w, _live, mult = _sweep_tensor(c, q, rows)
+    hists = np.array(kernels.family_histograms(
+        w, counts, n_states, mult, factors, [row[2] for row in rows]))
+    # a sweep's histograms run on into those of its strict family: the
+    # same ones when it is strict, since it keeps essential rows only
+    loose, flagged = hists[:, : n_states + 1], hists[:, n_states + 1 :]
+    halves = {True: loose} if strict else {False: loose, True: flagged}
+    return {s: tuple(tuple(zip(nz.tolist(), h[nz].tolist()))
+                     for h in half for nz in [np.flatnonzero(h)])
+            for s, half in halves.items()}
+
+
+def _convolve(a: tuple, b: tuple) -> tuple:
+    """The histogram of a product x·y of independent quantities, from the
+    (value, count) pairs of each: out[x·y] += a[x]·b[y], in exact integers."""
+    out: dict[int, int] = {}
+    for x, m in a:
+        for y, n in b:
+            out[x * y] = out.get(x * y, 0) + m * n
+    return tuple(sorted(out.items()))
+
+
+# each weak component's histograms (:func:`_sweep_component`) under
+# (component, alphabet), least recently used first, kept once a product
+# with them passed its total check
+_component_memo: dict[tuple[Digraph, int], dict[bool, tuple]] = {}
 
 
 def enumerate_stats(
@@ -627,43 +665,45 @@ def enumerate_stats(
 ) -> StatsReport:
     """Exact min/average/max and histograms of rank, periodic rank, fixed points.
 
-    ``max_funcs`` defaults to ``DEFAULT_MAX_FUNCS``, read at call time. A
-    loose sweep bins the strict family too, and keeps its histograms for
-    the next strict request of the same graph and alphabet, which is still
-    priced and checked as if it swept.
+    ``max_funcs`` defaults to ``DEFAULT_MAX_FUNCS``, read at call time. The
+    whole family is priced; then each weak component is swept, or read from
+    the memo, and the histograms multiply over components. A loose sweep
+    bins the strict family too, for a later strict request.
     """
     if max_funcs is None:
         max_funcs = DEFAULT_MAX_FUNCS
-    total, n_states = price_family(d, q, strict, max_funcs, max_states)
-    hists = _strict_memo.get((d, q)) if strict else None
-    if hists is None:
-        rows, counts, factors = _sweep_plan(d, q, strict, n_states)
-        w, _live, mult = _sweep_tensor(d, q, rows)
-        hists = np.array(kernels.family_histograms(
-            w, counts, n_states, mult, factors, [row[2] for row in rows]))
-        # a sweep's histograms run on into those of its strict family: the
-        # same ones when it is strict, since it keeps essential rows only
-        hists, flagged = hists[:, : n_states + 1], hists[:, n_states + 1 :]
+    total, _n_states = price_family(d, q, strict, max_funcs, max_states)
+    entries: dict[Digraph, dict[bool, tuple]] = {}
+    hists = None
+    for vertices in weak_components(d):
+        index = {v: i for i, v in enumerate(vertices, 1)}
+        c = Digraph(len(vertices), [(index[u], index[v]) for u, v in d.arcs if u in index])
+        if c not in entries:
+            entry = _component_memo.get((c, q), {})
+            entries[c] = entry if strict in entry else _sweep_component(c, q, strict)
+        part = entries[c][strict]
+        hists = part if hists is None else tuple(map(_convolve, hists, part))
     # the only guard against a kernel, a weight or a flag that drops or
     # double-counts systems
     for name, hist in zip(("rank", "periodic rank", "fixed point"), hists):
-        if int(hist.sum()) != total:
-            raise IntegrityError(
-                f"{name} histogram counts {int(hist.sum())} systems, family has {total}"
-            )
-    if not strict:
-        _strict_memo.clear()
-        _strict_memo[d, q] = flagged
-    hist_rank, hist_per, hist_fix = hists
+        counted = sum(count for _, count in hist)
+        if counted != total:
+            raise IntegrityError(f"{name} histogram counts {counted} systems, family has {total}")
+    for c, entry in entries.items():
+        _component_memo.pop((c, q), None)
+        _component_memo[c, q] = entry
+    while len(_component_memo) > 2048:
+        del _component_memo[next(iter(_component_memo))]
+    rank, periodic_rank, fixed_points = (_quantity_from_hist(h, total) for h in hists)
     return StatsReport(
         graph=fingerprint(d),
         q=q,
         strict=strict,
         function_count=total,
-        rank=_quantity_from_hist(hist_rank, total),
-        periodic_rank=_quantity_from_hist(hist_per, total),
-        fixed_points=_quantity_from_hist(hist_fix, total),
-        fixed_point_free_fraction=Fraction(int(hist_fix[0]), total),
+        rank=rank,
+        periodic_rank=periodic_rank,
+        fixed_points=fixed_points,
+        fixed_point_free_fraction=Fraction(fixed_points.histogram.get(0, 0), total),
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 import fdsrank
 from fdsrank import kernels
 from fdsrank.digraph import Digraph
-from fdsrank.enumeration import _all_tables, _essential_selector, _strict_memo, _table_counts
+from fdsrank.enumeration import _all_tables, _component_memo, _essential_selector, _table_counts
 from fdsrank.fds import input_index
 
 
@@ -15,14 +15,14 @@ from fdsrank.fds import input_index
 def cold_memos():
     # a value memoized by an earlier test would hide an invariant, a solver,
     # a kernel or a table the test patches: every lru_cache of the package
-    # (found by its cache_clear) and the strict histograms an earlier loose
-    # sweep binned start empty
+    # (found by its cache_clear) and the component histograms an earlier
+    # sweep kept start empty
     for name, module in list(sys.modules.items()):
         if name == fdsrank.__name__ or name.startswith(fdsrank.__name__ + "."):
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
-    _strict_memo.clear()
+    _component_memo.clear()
 
 
 def small_digraphs(n: int):

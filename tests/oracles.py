@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 
 def brute_feedback_vertex_number(d) -> int:
     """Smallest vertex set whose removal leaves no directed cycle."""
@@ -349,6 +351,43 @@ def brute_table_class(q, k) -> list[int]:
             # codes are visited in order, so the first of a class is its least
             label[image] = code
     return label
+
+
+def brute_orbit_moves(q, k, coords, swaps=()) -> list:
+    """The code each generator of ``enumeration._table_orbits`` sends every
+    table to, built one cell at a time over the whole table matrix.
+
+    Generators come in the order the package lists them: for each pair
+    (input digit or None, whether it moves the output) of ``coords``, the
+    q - 1 swaps of adjacent letters, then each input swap of ``swaps``. A
+    generator sends the value t[y] of cell y, mapped by the output's
+    permutation when it moves the output, to the cell whose digits it
+    permutes.
+    """
+    cells = np.arange(q ** k, dtype=np.int64)
+    codes = np.arange(q ** (q ** k), dtype=np.int64)
+    tables = codes[:, None] // q ** cells % q
+    generators = []  # (where each cell's value lands, the output's permutation or None)
+    for j, output in coords:
+        for a in range(q - 1):
+            swap = np.arange(q, dtype=np.int64)
+            swap[[a, a + 1]] = a + 1, a
+            moved = cells
+            if j is not None:
+                digit = cells // q ** j % q
+                moved = cells + (swap[digit] - digit) * q ** j
+            generators.append((moved, swap if output else None))
+    for i, j in swaps:
+        di, dj = cells // q ** i % q, cells // q ** j % q
+        generators.append((cells + (dj - di) * q ** i + (di - dj) * q ** j, None))
+    moves = []
+    for moved, out in generators:
+        code = np.zeros(codes.size, dtype=np.int64)
+        for y in cells:
+            column = tables[:, y]
+            code += (column if out is None else out[column]) * q ** moved[y]
+        moves.append(code)
+    return moves
 
 
 # --- dict-based system evaluation (independent of the numpy paths) ---------

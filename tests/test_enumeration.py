@@ -20,7 +20,7 @@ import oracles
 from conftest import blown_up_digraph, small_digraphs, sweep, unreduced_tensor, whole_factors
 from fdsrank import enumeration, fds, kernels
 from fdsrank import fixtures as fx
-from fdsrank.digraph import Digraph, structure_stats, twin_classes
+from fdsrank.digraph import Digraph, structure_stats, twin_classes, weak_components
 from fdsrank.enumeration import (
     enumerate_stats,
     essential_table_count,
@@ -429,6 +429,27 @@ class TestTableOrbits:
             assert np.array_equal(essential, essential[label])
 
 
+# every (q, k) with q <= 6 whose q^(q^k) tables the table byte guard admits
+MOVE_CASES = ([(2, k) for k in range(5)] + [(3, k) for k in range(3)]
+              + [(q, k) for q in (4, 5, 6) for k in range(2)])
+
+
+@pytest.mark.parametrize("q,k", MOVE_CASES, ids=[f"q{q}-k{k}" for q, k in MOVE_CASES])
+def test_orbit_moves_match_the_per_cell_construction(q, k):
+    # a chain group's generators are those of its coordinates, so the whole
+    # groups of a vertex that reads itself at each input, or does not, hold
+    # every generator of every chain group; then the key group
+    groups = [(group_coords(k, self_pos), ()) for self_pos in [None, *range(k)]]
+    groups.append(enumeration._key_group(k))
+    for coords, swaps in groups:
+        moves = enumeration._orbit_moves(q, k, coords, swaps)
+        brute = oracles.brute_orbit_moves(q, k, coords, swaps)
+        assert len(moves) == len(brute) == (q - 1) * len(coords) + len(swaps)
+        for move, expected in zip(moves, brute):
+            assert move.dtype == np.min_scalar_type(q ** (q ** k) - 1)
+            assert np.array_equal(move, expected), (coords, swaps)
+
+
 LOOPED_K3 = Digraph(3, [(u, v) for u in (1, 2, 3) for v in (1, 2, 3)])
 DROP_LOOP_K3 = Digraph(3, LOOPED_K3.arcs - {(3, 3)})
 
@@ -515,8 +536,19 @@ def test_a_wrong_weight_is_caught(monkeypatch, d, q):
             enumerate_stats(d, q)
 
 
+def components(d):
+    """Each weak component of ``d``, relabelled 1..k in increasing vertex order."""
+    found = []
+    for vertices in weak_components(d):
+        index = {v: i for i, v in enumerate(vertices, 1)}
+        found.append(Digraph(len(vertices), [(index[u], index[v]) for u, v in d.arcs
+                                             if u in index]))
+    return found
+
+
 def test_one_kernel_call_per_sweep(monkeypatch):
-    # one kernel call and one tensor a sweep, whichever plan it takes
+    # one kernel call and one tensor a component sweep, whichever plan it
+    # takes: the 4-vertex chain family has two components
     calls = Counter()
     for module, name in [(kernels, "family_histograms"), (enumeration, "_sweep_tensor")]:
         def counted(*args, real=getattr(module, name), name=name):
@@ -526,13 +558,17 @@ def test_one_kernel_call_per_sweep(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     for d, q in CHAIN_FAMILIES + [(LOOPED_K3, 2), (DROP_LOOP_K3, 2), (fx.C3, 2)]:
         # strict first: after the loose sweep, a strict request makes no call
+        swept = len(components(d))
         for strict in (True, False):
             calls.clear()
             enumerate_stats(d, q, strict=strict)
-            assert calls == Counter(family_histograms=1, _sweep_tensor=1), (d, q, strict)
+            assert calls == Counter(family_histograms=swept, _sweep_tensor=swept), (d, q, strict)
             _rows, counts, factors = enumeration._sweep_plan(d, q, strict, q ** d.n)
             assert (factors != whole_factors(counts)) == (d in (LOOPED_K3, DROP_LOOP_K3)), (
                 d, q, strict)
+        calls.clear()
+        enumerate_stats(d, q, strict=True)
+        assert calls == Counter(), (d, q)
 
 
 # (graph, alphabet) with twin classes of two and three vertices and more
@@ -716,6 +752,22 @@ class TestMinrankExact:
             swept = enumerate_stats(d, q, strict=True, max_funcs=math.inf)
             assert minrank_exact(d, q) == swept.rank.minimum, (d, q)
 
+    def test_the_search_agrees_with_enumeration_at_q3(self, monkeypatch):
+        # with the AND network's rank replaced by q^n, the search itself
+        # must find the strict sweep's minimum on the 144 q=3 families above
+        families = [d for n in (1, 2, 3) for d in small_digraphs(n)
+                    if family_size(d, 3, False) <= 2_000_000]
+        minima = [enumerate_stats(d, 3, strict=True, max_funcs=math.inf).rank.minimum
+                  for d in families]
+        searched = []
+        real = enumeration._sweep_tensor
+        monkeypatch.setattr(enumeration, "conjunctive_rank", lambda d, max_states: 3 ** d.n)
+        monkeypatch.setattr(enumeration, "_sweep_tensor",
+                            lambda d, q, rows: searched.append(d) or real(d, q, rows))
+        for d, minimum in zip(families, minima):
+            assert minrank_exact(d, 3) == minimum, sorted(d.arcs)
+        assert len(searched) == len(families) == 144
+
     def test_monotone_in_alphabet_on_two_vertex_graphs(self):
         for d in small_digraphs(2):
             assert minrank_exact(d, 2) >= minrank_exact(d, 3)
@@ -859,11 +911,14 @@ class TestSweepProperties:
 # --- the strict family binned by the loose sweep ----------------------------------
 
 def strict_reports(d, q):
-    """The strict report read from the loose sweep, then swept on its own."""
+    """The strict report read from the loose sweep, then swept on its own,
+    each from an empty memo."""
+    enumeration._component_memo.clear()
     enumerate_stats(d, q)
-    assert set(enumeration._strict_memo) == {(d, q)}
+    assert set(enumeration._component_memo) == {(c, q) for c in components(d)}
+    assert all(set(entry) == {False, True} for entry in enumeration._component_memo.values())
     shared = enumerate_stats(d, q, strict=True)
-    enumeration._strict_memo.clear()
+    enumeration._component_memo.clear()
     return shared.to_json_dict(), enumerate_stats(d, q, strict=True).to_json_dict()
 
 
@@ -914,7 +969,8 @@ def test_a_strict_sweep_flags_every_row(monkeypatch):
     monkeypatch.setattr(kernels, "family_histograms", split)
     for d, q in PLANNED_FAMILIES:
         enumerate_stats(d, q, strict=True)
-    assert len(halves) == len(PLANNED_FAMILIES)
+    # one sweep a component, a repeated one swept once
+    assert len(halves) == len({(c, q) for d, q in PLANNED_FAMILIES for c in components(d)})
     assert all(np.array_equal(a, b) for hists in halves for a, b in hists)
 
 
@@ -943,7 +999,7 @@ def refusal(d, q, **limits):
 def test_a_shared_strict_request_is_refused_as_a_standalone_one(limits):
     alone = refusal(LOOPED_K3, 2, **limits)
     enumerate_stats(LOOPED_K3, 2)
-    assert (LOOPED_K3, 2) in enumeration._strict_memo
+    assert True in enumeration._component_memo[LOOPED_K3, 2]
     assert refusal(LOOPED_K3, 2, **limits) == alone
 
 
@@ -952,11 +1008,11 @@ def test_a_shared_strict_request_meets_the_byte_guard(monkeypatch):
     enumerate_stats(d, q)
     monkeypatch.setattr(enumeration, "TABLE_BYTE_CAP", 1000)
     shared = refusal(d, q)
-    enumeration._strict_memo.clear()
+    enumeration._component_memo.clear()
     assert refusal(d, q) == shared
 
 
-def test_the_memo_holds_one_graph_at_one_alphabet(monkeypatch):
+def test_the_memo_holds_each_component_at_each_alphabet(monkeypatch):
     calls = []
     real = kernels.family_histograms
 
@@ -971,28 +1027,52 @@ def test_the_memo_holds_one_graph_at_one_alphabet(monkeypatch):
         "another graph": [(fx.C3, 2, False), (fx.K3, 2, True)],
         "another alphabet": [(fx.C3, 3, False), (fx.C3, 2, True)],
         "a later loose sweep": [(fx.C3, 2, False), (fx.K3, 2, False), (fx.C3, 2, True)],
+        "a shared component": [(fx.C3, 2, False), (C3_AND_LOOP, 2, True)],
+        "a repeated component": [(Digraph(3, [(1, 1), (2, 2), (3, 3)]), 2, False)],
     }
     made = {}
     for name, run in runs.items():
-        enumeration._strict_memo.clear()
+        enumeration._component_memo.clear()
         calls.clear()
         for d, q, strict in run:
             enumerate_stats(d, q, strict=strict)
         made[name] = len(calls)
+    # a strict entry is filled by a loose sweep, not the other way round,
+    # and a later sweep of another graph keeps it
     assert made == {"loose then strict": 1, "strict then loose": 2, "another graph": 2,
-                    "another alphabet": 2, "a later loose sweep": 3}
+                    "another alphabet": 2, "a later loose sweep": 2, "a shared component": 2,
+                    "a repeated component": 1}
+
+
+C3_AND_LOOP = Digraph(4, fx.C3.arcs | {(4, 4)})
+
+
+def test_the_memo_keeps_the_components_used_last(monkeypatch):
+    # 2,048 entries: a hit moves its component to the end, and a new one
+    # evicts the entry used longest ago
+    enumerate_stats(fx.L1, 2)
+    fillers = [(Digraph(1), q) for q in range(100, 100 + 2047)]
+    enumeration._component_memo.update((key, {}) for key in fillers)
+    enumerate_stats(fx.L1, 2, strict=True)
+    enumerate_stats(fx.C3, 2)
+    memo = enumeration._component_memo
+    assert len(memo) == 2048 and fillers[0] not in memo and fillers[1] in memo
+    assert list(memo)[-2:] == [(fx.L1, 2), (fx.C3, 2)]
 
 
 def test_chain_groups_are_kept_across_a_loose_then_a_strict_pass():
     # a loose pass over 40 graphs, then a strict pass, twice over: each
     # family's chain groups are computed once, though its guard and its
-    # sweep both read them
+    # sweep both read them; the guard prices the graph, the loose sweep
+    # reads each component's, and the strict pass reads the memo
     graphs = list(itertools.islice(small_digraphs(3), 0, 400, 10))
     for _ in range(2):
         for strict in (False, True):
             for d in graphs:
                 enumerate_stats(d, 2, strict=strict)
-    assert enumeration._chain_groups.cache_info().misses == 2 * len(graphs) == 80
+    families = {(d, strict) for d in graphs for strict in (False, True)}
+    families |= {(c, False) for d in graphs for c in components(d)}
+    assert enumeration._chain_groups.cache_info().misses == len(families) > 80
 
 
 @pytest.mark.parametrize("d,q,vertices", [
@@ -1009,6 +1089,8 @@ def test_a_wrong_flag_is_caught(monkeypatch, d, q, vertices):
     real = enumeration._chain_rows
     loose = enumerate_stats(d, q).to_json_dict()
     for v in vertices:
+        enumeration._component_memo.clear()  # the patched rows are swept, not read
+
         def one_wrong(*args, v=v):
             rows = list(real(*args))
             codes, sizes, flags = rows[v]
@@ -1022,3 +1104,83 @@ def test_a_wrong_flag_is_caught(monkeypatch, d, q, vertices):
             assert enumerate_stats(d, q).to_json_dict() == loose
             with pytest.raises(IntegrityError, match="family has"):
                 enumerate_stats(d, q, strict=True)
+
+
+# --- one sweep a weak component ---------------------------------------------------
+
+# isolated vertices, looped singletons, and a component repeated in another
+# vertex order, at q=2 and q=3
+DISCONNECTED_FAMILIES = [
+    (Digraph(2), 3),
+    (Digraph(3, [(2, 2)]), 3),
+    (Digraph(3, [(1, 1), (2, 2), (3, 3)]), 2),
+    (Digraph(4, [(1, 3), (4, 2)]), 3),
+    (Digraph(4, [(1, 3), (2, 4), (3, 3), (4, 4)]), 2),
+    (Digraph(5, [(1, 2), (2, 1), (3, 3), (5, 4), (4, 5)]), 2),
+    (Digraph(4, [(2, 1), (3, 3), (4, 4)]), 3),
+    (C3_AND_LOOP, 2),
+]
+
+
+def test_a_disconnected_family_is_the_product_of_its_components(monkeypatch):
+    # strict, then loose, then strict again, graph after graph: each report
+    # is the unreduced sweep's, and a component is swept only when the memo
+    # lacks its family, so components repeat within and across graphs
+    swept = []
+    real = kernels.family_histograms
+    monkeypatch.setattr(kernels, "family_histograms",
+                        lambda *args: swept.append(args[2]) or real(*args))
+    held = 0
+    for d, q in DISCONNECTED_FAMILIES:
+        parts = components(d)
+        assert len(parts) > 1
+        for strict in (True, False, True):
+            kept = {c for c in parts if strict in enumeration._component_memo.get((c, q), {})}
+            held += len(kept)
+            swept.clear()
+            report = enumerate_stats(d, q, strict=strict)
+            assert sorted(swept) == sorted(q ** c.n for c in set(parts) - kept), (d, q, strict)
+            unreduced = sweep(*unreduced_tensor(d, q, strict), q ** d.n)
+            for stats, hist in zip(report.quantities().values(), unreduced):
+                assert stats.histogram == {int(v): int(c) for v, c in enumerate(hist) if c}
+            assert report.fixed_point_free_fraction == Fraction(int(unreduced[2][0]),
+                                                                family_size(d, q, strict))
+    assert held > 2 * len(DISCONNECTED_FAMILIES)
+
+
+def test_a_wrong_component_weight_or_flag_is_caught(monkeypatch):
+    # one component of a disconnected graph swept with an orbit size off by
+    # one, or with an inessential row flagged essential: the total check on
+    # the product catches either, and a failed check keeps nothing
+    d, q = Digraph(4, [(1, 2), (3, 3), (4, 3)]), 2
+    _first, second = components(d)
+    loose = enumerate_stats(d, q).to_json_dict()
+    enumeration._component_memo.clear()
+    real_tensor, real_rows = enumeration._sweep_tensor, enumeration._chain_rows
+
+    def heavier(c, q, rows):
+        w, counts, mult = real_tensor(c, q, rows)
+        if c == second:
+            mult = [m.copy() for m in mult]  # the cached orbit sizes stay intact
+            mult[0][-1] += 1
+        return w, counts, mult
+
+    def flagged(c, q, strict):
+        rows = list(real_rows(c, q, strict))
+        if c == second:
+            codes, sizes, flags = rows[0]
+            flags = flags.copy()
+            flags[np.flatnonzero(~flags)[0]] = True
+            rows[0] = codes, sizes, flags
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_sweep_tensor", heavier)
+        with pytest.raises(IntegrityError, match="family has"):
+            enumerate_stats(d, q)
+        assert enumeration._component_memo == {}
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_chain_rows", flagged)
+        assert enumerate_stats(d, q).to_json_dict() == loose
+        with pytest.raises(IntegrityError, match="family has"):
+            enumerate_stats(d, q, strict=True)

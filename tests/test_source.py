@@ -171,8 +171,9 @@ def test_every_export_is_reached_from_the_commands():
 
 
 def test_one_sweep_path_through_the_orbit_reduction():
-    # the kernel is called from one place, inside enumerate_stats, which
-    # always sweeps orbit representatives: no parameter, flag or environment
+    # the kernel is called from one place, the component sweep of
+    # enumerate_stats, which always sweeps orbit representatives: no
+    # parameter, flag or environment
     # variable turns the reduction off, and the unreduced product lives on
     # only as a test oracle
     calls, environ = [], []
@@ -187,7 +188,7 @@ def test_one_sweep_path_through_the_orbit_reduction():
             if path.name == "enumeration.py" and getattr(node, "attr", None) in ("environ", "getenv"):
                 environ.append(node.lineno)
     # one calling convention: every input required, all six passed
-    assert calls == [("enumeration.py", "enumerate_stats", 6)]
+    assert calls == [("enumeration.py", "_sweep_component", 6)]
     assert environ == []
     kernel = next(node for node in ast.parse((SRC / "kernels.py").read_text(encoding="utf-8")).body
                   if isinstance(node, ast.FunctionDef) and node.name == "family_histograms")
@@ -217,14 +218,14 @@ def test_kernels_bin_in_integers():
 
 
 def test_a_strict_request_is_priced_before_the_memo_is_read():
-    # the strict histograms a loose sweep binned are read only inside
-    # enumerate_stats, after price_family: a memo hit keeps every refusal
-    # with its message and projected size
+    # the component histograms earlier sweeps kept are read only inside
+    # enumerate_stats, after its one price_family call: a memo hit keeps
+    # every refusal with its message and projected size
     tree = ast.parse((SRC / "enumeration.py").read_text(encoding="utf-8"))
     owner = {node: getattr(top, "name", "<module>")
              for top in tree.body for node in ast.walk(top)}
     reads = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "_strict_memo"]
+             if isinstance(node, ast.Name) and node.id == "_component_memo"]
     assert {owner[node] for node in reads} == {"<module>", "enumerate_stats"}
     fn = next(node for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name == "enumerate_stats")
