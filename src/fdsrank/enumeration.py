@@ -417,8 +417,7 @@ def price_family(
         held += 8 * q ** (q ** k)
 
     for k, coords in dict.fromkeys(zip(degrees, groups)):
-        if coords:
-            orbit_step(k, (q - 1) * len(coords))
+        orbit_step(k, (q - 1) * len(coords))
     nbytes = table_bytes() + orbit
     if nbytes <= TABLE_BYTE_CAP:
         kept = [_orbit_leaders(q, k, coords, strict)[0].size for k, coords in zip(degrees, groups)]
@@ -474,9 +473,6 @@ def _orbit_leaders(
     """
     essential = np.zeros(q ** (q ** k), dtype=bool)
     essential[_essential_selector(q, k)] = True
-    if not coords:
-        codes = np.flatnonzero(essential) if strict else np.arange(essential.size)
-        return codes, np.ones(codes.size, dtype=np.int64), essential[codes]
     label = _table_orbits(q, k, coords)
     sizes = np.bincount(label, minlength=label.size)
     live = sizes > 0
@@ -572,7 +568,7 @@ def _twin_split(d: Digraph, q: int, rows: list[tuple[np.ndarray, ...]], cols: in
         rank[ranked] = np.arange(names.size)
         starts = []
         for v, i, counts in zip(members, index, per_key):
-            order = np.lexsort((rows[v][1], rank[i]))
+            order = np.argsort(rank[i], kind="stable")
             rows[v] = tuple(a[order] for a in rows[v])
             starts.append(np.cumsum([0] + [counts[x] for x in ranked]).tolist())
         # tuples of rows along non-decreasing ranks, one member at a time
@@ -615,10 +611,6 @@ def _sweep_plan(d: Digraph, q: int, strict: bool, n_states: int):
     plain = _kernel_blocks(math.prod(counts), cols)
     if plain == 1:
         return rows, counts, _whole(rows, range(d.n))
-    # rows in order of flag, then multiplicity, so that most blocks share
-    # one class
-    rows = [tuple(a[order] for a in row) for row in rows
-            for order in [np.lexsort((row[1], row[2]))]]
     return _twin_split(d, q, rows, cols, plain) or (rows, counts, _whole(rows, range(d.n)))
 
 

@@ -23,27 +23,25 @@ The product of the factors' sub-products gives the pieces of the sweep,
 each a table product of row ranges. Maps are built in state-major blocks:
 C-contiguous (n_states, B) arrays of ``BLOCK_CELLS`` cells whose column c
 holds one map, filled across pieces, so that only the last block of a
-call is short. In each piece vertices whose rows differ in weight (a
-flag alone does not count) are taken outermost, then the rest, either way
-largest table list outermost. The table product of the innermost vertices
-that fits in one block is built once per piece by broadcast adds; the
-next vertex out (the boundary) gives the heads, each added to every inner
-column, and every vertex further out adds one prefix column. A piece of
-one vertex, like a vertex with more rows than a block holds, gives heads
-on one zero inner column. No system costs a division or a gather. A
-piece whose product overruns a block continues in the next one, inside a
-head if need be.
+call is short. In each piece vertices are taken largest table list
+outermost. The table product of the innermost vertices that fits in one
+block is built once per piece by broadcast adds; the next vertex out (the
+boundary) gives the heads, each added to every inner column, and every
+vertex further out adds one prefix column. A piece of one vertex, like
+a vertex with more rows than a block holds, gives heads on one zero
+inner column. No system costs a division or a gather. A piece whose
+product overruns a block continues in the next one, inside a head if
+need be.
 
 Every column carries a class: a mixed-radix number over the vertices,
 one digit for each row's multiplicity, flag and run weight (0 at a
 vertex whose rows all count alike), indexing a small table of weights
 (orbit size times multinomial, in the twin split). The table has two
 rows: the weight, and the weight times the product of the column's
-flags, so the flagged histograms cost no second pass. A block whose
-columns all share one class is binned once, unweighted, into the
-histograms of its class, scaled once at the end by both rows. Other
-blocks take one bin count over (class, value) pairs and a product with
-the class weights. Histograms stay int64 throughout.
+flags, so the flagged histograms cost no second pass. Every block takes
+one bin count per quantity over (class, value) pairs into unweighted
+counts of the call, and the class weights apply once, at the end of the
+call. Histograms stay int64 throughout.
 
 Up to 64 states a set of states is a bitset in the narrowest unsigned word
 that holds ``n_states`` bits, one word per column:
@@ -92,27 +90,24 @@ def _weight_classes(live, mult, flags, pieces, n_bins, cols):
     flag and the weight of its run, and is 0 where a vertex's rows all
     count alike.
     Returns (each vertex's digits, the digit step of each of its run
-    weights, the weights of each class, raw class -> class, whether each
-    vertex's rows differ in weight, not in flag alone). The weights are two
-    rows: a column's weight, and that weight times the product of its rows'
-    flags. Raw classes are mapped to their distinct weights only when their
-    bins would outnumber a block's columns, else the map is None.
+    weights, the weights of each class, raw class -> class). The weights
+    are two rows: a column's weight, and that weight times the product of
+    its rows' flags. Raw classes are mapped to their distinct weights only
+    when their bins would outnumber a block's columns, else the map is None.
     """
-    digits, steps, weighted = [], [], []
+    digits, steps = [], []
     # each class's weight, and whether all its rows are flagged
     table = flagged = np.ones(1, dtype=np.int64)
     for v, rows in enumerate(live):
         # the flag as the lowest bit
         key = 2 * np.asarray(mult[v][:rows], dtype=np.int64) + flags[v][:rows]
         runs = sorted({weight for piece in pieces for _, _, weight in piece[v]})
-        values = key[:1] if key[0] == key[-1] and (key == key[0]).all() else _distinct(key)
+        values = _distinct(key)
         radix = table.size
         digits.append(np.searchsorted(values, key) * radix)
         steps.append({weight: i * values.size * radix for i, weight in enumerate(runs)})
         flagged = np.concatenate([np.multiply.outer(values & 1, flagged).ravel()] * len(runs))
-        values = values >> 1
-        weighted.append(len(runs) > 1 or values[0] != values[-1])
-        table = np.multiply.outer(values, table).ravel()
+        table = np.multiply.outer(values >> 1, table).ravel()
         table = np.concatenate([table * weight for weight in runs])
     # raw classes in the narrowest word that holds them, so that the
     # class sums written for every column cost the fewest bytes
@@ -124,7 +119,7 @@ def _weight_classes(live, mult, flags, pieces, n_bins, cols):
         values = _distinct(key)
         remap = np.searchsorted(values, key)
         table, flagged = values >> 1, values & 1
-    return digits, steps, np.array([table, table * flagged]), remap, weighted
+    return digits, steps, np.array([table, table * flagged]), remap
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -191,8 +186,7 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
     every piece, the last block possibly short.
 
     ``block`` is an (n_states, B) array of maps, overwritten by the next
-    one. ``classes`` holds the class of every column, or is an int when
-    all columns share one.
+    one. ``classes`` holds the class of every column.
     """
     systems = sum(math.prod(runs[-1][1] - runs[0][0] for runs in piece) for piece in pieces)
     cols = min(cols, systems)  # a sweep of one block fills it
@@ -202,8 +196,7 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
 
     def block():
         m = buf if pos == cols else np.ascontiguousarray(buf[:, :pos])
-        raw = raw_buf[:pos] if remap is None else remap[raw_buf[:pos]]
-        return m, int(raw[0]) if (raw == raw[0]).all() else raw
+        return m, raw_buf[:pos] if remap is None else remap[raw_buf[:pos]]
 
     for piece in pieces:
         picked = _piece_rows(rows, digits, steps, piece, memo)
@@ -247,20 +240,14 @@ def _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
 
 
 def _add(row, values, classes):
-    """Add to ``row`` the bin counts of ``values``, weighted by column class
-    (each row of the class weights into its own row of ``row``).
+    """Add to ``row`` the count of each (column class, value) pair, in bin
+    class times the bins plus value.
 
-    ``classes`` is None, or (each column's class times the bins, the class
-    weights, a scratch column as long as a block).
+    ``classes`` is (each column's class times the bins, a scratch column as
+    long as a block).
     """
-    if classes is None:
-        row += np.bincount(values, minlength=row.size)
-    else:
-        offsets, weights, scratch = classes
-        n_bins = row.shape[-1]
-        binned = np.bincount(np.add(values, offsets, out=scratch[: values.size]),
-                             minlength=weights.shape[1] * n_bins)
-        row += weights @ binned.reshape(weights.shape[1], n_bins)
+    offsets, scratch = classes
+    row += np.bincount(np.add(values, offsets, out=scratch[: values.size]), minlength=row.size)
 
 
 def _count_bitsets(m, hist, classes):
@@ -343,32 +330,21 @@ def family_histograms(w: np.ndarray, counts, n_states: int, mult: list[np.ndarra
     # and broadcast adds over it run several times slower
     rows = [np.ascontiguousarray(w[v, : live[v]].T, dtype=dtype) for v in range(n)]
     cols = max(1, BLOCK_CELLS // n_states)
-    digits, steps, weights, remap, weighted = _weight_classes(
-        live, mult, flags, pieces, n_bins, cols)
-    # vertices whose rows differ in weight outermost, then largest table list
-    order = sorted(range(n), key=lambda v: (not weighted[v], -live[v]))
+    digits, steps, weights, remap = _weight_classes(live, mult, flags, pieces, n_bins, cols)
+    order = sorted(range(n), key=lambda v: -live[v])  # largest table list outermost
     tally = _uint(n_states.bit_length())
     states = np.arange(n_states, dtype=dtype)[:, None]
     count_sets = _count_bitsets if n_states <= 64 else _count_sorted
-    # single-class blocks binned unweighted by class, scaled once at the end
-    by_class: dict[int, np.ndarray] = {}
-    mixed = np.zeros((3, 2, n_bins), dtype=np.int64)
-    # the class offsets and the binned indices of a mixed block, allocated
-    # once a call: block-sized temporaries, freed and taken again each
-    # block, cost the allocator fresh pages
+    # unweighted counts by (class, value), weighted once at the end
+    binned = np.zeros((3, weights.shape[1] * n_bins), dtype=np.int64)
+    # the class offsets and the binned indices of a block, allocated once a
+    # call: block-sized temporaries, freed and taken again each block, cost
+    # the allocator fresh pages
     scratch = np.empty((2, cols), dtype=np.intp)
     for m, cls in _blocks(rows, order, pieces, n_states, cols, dtype, digits, steps, remap):
-        if isinstance(cls, int):
-            hist = by_class.get(cls)
-            if hist is None:
-                hist = by_class[cls] = np.zeros((3, n_bins), dtype=np.int64)
-            classes = None
-        else:
-            offsets = np.multiply(cls, n_bins, out=scratch[0, : cls.size], dtype=np.intp)
-            hist, classes = mixed, (offsets, weights, scratch[1])
-        count_sets(m, hist, classes)
+        classes = np.multiply(cls, n_bins, out=scratch[0, : cls.size], dtype=np.intp), scratch[1]
+        count_sets(m, binned, classes)
         fixed = np.add.reduce((m == states).view(np.uint8), axis=0, dtype=tally)
-        _add(hist[2], fixed, classes)
-    hist = mixed + sum((h[:, None] * weights[:, c, None] for c, h in by_class.items()),
-                       np.int64(0))
+        _add(binned[2], fixed, classes)
+    hist = weights @ binned.reshape(3, weights.shape[1], n_bins)
     return tuple(hist.reshape(3, 2 * n_bins))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sweep, unreduced_tensor
+from conftest import sweep, unreduced_tensor, whole_factors
 from fdsrank import kernels
 from fdsrank.digraph import Digraph
 
@@ -162,3 +162,43 @@ def test_raw_classes_in_every_word_width(k):
     mult = [np.ones(5, dtype=np.int64)] + [np.arange(1, k + 1)] * 3
     expected = reference_histograms(*stack([maps], n_states), n_states) * (k * (k + 1) // 2) ** 3
     assert np.array_equal(sweep(w, counts, n_states, mult), expected)
+
+
+@pytest.mark.parametrize("cols,top,remapped", [(24, 3, True), (24, 1000, True),
+                                               (4096, 1, False), (4096, 1000, True)],
+                         ids=["24-few", "24-many", "one-block-flags", "one-block-many"])
+def test_flagged_rows_bin_their_own_half(monkeypatch, cols, top, remapped):
+    # random flags and multiplicities 1..top, each vertex's rows shuffled
+    # with both, so that blocks mix classes. Past a block's columns
+    # in (class, value) bins the classes are mapped to their distinct
+    # weights: at 24 columns any two classes are, and at 4096 columns only
+    # the 5 * 7 * 3 * 4 classes of many distinct multiplicities are
+    n_states = 16
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", cols * n_states)
+    seen = []
+    weight_classes = kernels._weight_classes
+
+    def spy(*args):
+        out = weight_classes(*args)
+        seen.append(out[3] is not None)
+        return out
+
+    monkeypatch.setattr(kernels, "_weight_classes", spy)
+    rng = np.random.default_rng(cols + top)
+    rows, mult, flags = [], [], []
+    for v, size in enumerate((5, 7, 3, 4)):
+        order = rng.permutation(size)
+        flag = rng.random(size) < 0.6
+        flag[0] = True  # every vertex keeps a flagged row
+        rows.append(rng.integers(0, 2, size=(size, n_states))[order] * 2 ** v)
+        mult.append(rng.choice(np.arange(1, top + 1), size=size, replace=top < size)[order])
+        flags.append(flag[order])
+    w, counts = stack(rows, n_states)
+    hists = np.array(kernels.family_histograms(
+        w, counts, n_states, mult, whole_factors(counts), flags))
+    loose, flagged = hists[:, : n_states + 1], hists[:, n_states + 1 :]
+    assert seen == [remapped]
+    assert np.array_equal(loose, reference_histograms(w, counts, n_states, mult))
+    w_flagged, counts_flagged = stack([r[f] for r, f in zip(rows, flags)], n_states)
+    assert np.array_equal(flagged, reference_histograms(
+        w_flagged, counts_flagged, n_states, [m[f] for m, f in zip(mult, flags)]))

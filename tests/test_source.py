@@ -233,3 +233,12 @@ def test_a_strict_request_is_priced_before_the_memo_is_read():
               and getattr(node.func, "id", None) == "price_family"]
     memo = [node.lineno for node in reads if owner[node] == "enumerate_stats"]
     assert len(priced) == 1 and priced[0] < min(memo)
+
+
+def test_the_kernel_has_one_binning_path():
+    # every block bins (class, value) pairs the same way: no test of a
+    # block's type picks a second path
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "isinstance"]
+    assert found == []
